@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet test test-race race cover bench bench-json bench-fleet bench-admission bench-bundle bench-megafleet bench-serve bench-residual alloc-gate residual-gate conservation scope-gate fuzz-short experiments examples obs-smoke serve-smoke
+.PHONY: all build vet test test-race race cover bench bench-json bench-fleet bench-admission bench-bundle bench-megafleet bench-serve bench-residual alloc-gate residual-gate scaling-gate conservation scope-gate fuzz-short experiments examples obs-smoke serve-smoke
 
 all: build test
 
@@ -10,7 +10,7 @@ build:
 vet:
 	go vet ./...
 
-test: vet obs-smoke serve-smoke conservation scope-gate fuzz-short alloc-gate residual-gate
+test: vet obs-smoke serve-smoke conservation scope-gate fuzz-short alloc-gate residual-gate scaling-gate
 	go test -shuffle=on ./...
 
 # The fleet allocation gate: one exact run of the 10k-device parallel
@@ -28,14 +28,24 @@ alloc-gate:
 residual-gate:
 	sh scripts/residual_gate.sh
 
+# The fan-out scaling gate: per-subscriber converge time of a publish
+# at 8k subscribers per root must stay within 1.5x of the same at 2k
+# (median of interleaved publishes in one process). A per-event
+# O(fleet) cost on the bundle path fails `make test`: a lagging-gauge
+# scan on every ack read 1.8x.
+scaling-gate:
+	sh scripts/scaling_gate.sh
+
 # The trust-boundary gate: the cross-org scope-refusal property (any
 # bundle signed by org A's key that names an org-B policy is refused
-# with ErrScope), the multi-root distributor refusal path, and the E21
-# coalition chaos run with its exact books and 1/2/4-worker
-# determinism differential.
+# with ErrScope), the multi-root distributor refusal path, the
+# lagging-books property (each root's bundle.lagging gauge equals the
+# LaggingRoot scan after every random enroll/publish/ack/loss/repair
+# step), and the E21 coalition chaos run with its exact books and
+# 1/2/4-worker determinism differential.
 scope-gate:
 	go test -run 'TestScope|TestAgentsTwoRootsOneSet|TestKeyRing' ./internal/bundle
-	go test -run 'TestDistributorMultiRoot|TestDistributorForged|TestDistributorBadPayload|TestDistributorEncodeFailure' \
+	go test -run 'TestDistributorMultiRoot|TestDistributorForged|TestDistributorBadPayload|TestDistributorEncodeFailure|TestDistributorLaggingBooks' \
 		./internal/core
 	go test -run 'TestE21' ./internal/experiments
 
@@ -71,11 +81,15 @@ serve-smoke:
 # second command repeats the parallel-determinism differentials under
 # the race detector — goroutine schedules vary across -count runs, so
 # byte-identical journals twice in a row is strong evidence the merge
-# order really is deterministic.
+# order really is deterministic. The third repeats, at 2 workers, the
+# bundle plane's shared decode/compile caches and lagging books with
+# the E17/E21 rollouts whose lanes share them.
 test-race:
 	go test -race ./internal/...
 	go test -race -count=2 -run 'TestParallelDeterminism|TestE15Determinism|TestPropertyBoxedScratchEquivalence|TestDifferentialResidualVsFull|TestResidualConcurrentSpecialize' \
 		./internal/sim ./internal/experiments ./internal/device ./internal/policy
+	go test -race -count=2 -cpu 2 -run 'TestDecodeCache|TestCompileCache|TestCaches|TestDistributorLaggingBooks|TestE17Converges|TestE21CoalitionGate' \
+		./internal/bundle ./internal/core ./internal/experiments
 
 race:
 	go test -race ./...
@@ -89,12 +103,13 @@ bench:
 	go test -bench=. -benchmem -count=5 ./... | tee bench.txt
 
 # Machine-readable benchmark results: run the suite (3 repetitions for
-# turnaround), then distill bench.txt into BENCH_PR7.json. Fleet rows
-# (BenchmarkE15Fleet*, BenchmarkE18*) also append to the cumulative
-# BENCH_HISTORY.json, so the allocation trend across PRs is one file.
+# turnaround), then distill bench.txt into bench.json (generated, not
+# committed). Fleet, serve, decision-plane and fan-out rows also append
+# to the cumulative BENCH_HISTORY.json, so the trend across PRs is one
+# file.
 bench-json:
 	go test -bench=. -benchmem -count=3 ./... | tee bench.txt
-	sh scripts/bench_json.sh bench.txt BENCH_PR7.json
+	sh scripts/bench_json.sh bench.txt bench.json
 
 # Admission-control hot paths only (PR5): admit/shed/gate/drain on a
 # virtual clock, distilled into BENCH_PR5.json.

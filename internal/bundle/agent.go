@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"repro/internal/policy"
-	"repro/internal/policylang"
 )
 
 // Verification failure causes, one typed error per rejected{cause}
@@ -90,13 +89,69 @@ func (a *Agent) Revision() uint64 {
 	return a.rev
 }
 
-// ApplyWire decodes and applies wire bytes.
+// ApplyWire decodes and applies wire bytes. Identical bytes delivered
+// to many agents are parsed once (see the decode cache); the checks of
+// Apply still run per agent.
 func (a *Agent) ApplyWire(data []byte) (bool, error) {
-	b, err := Decode(data)
+	b, err := decodeShared(data)
 	if err != nil {
 		return false, err
 	}
 	return a.Apply(b)
+}
+
+// Router is a device's receiving end of its root subscriptions: one
+// agent per subscribed org root, all bound to the device's policy set.
+// It decodes wire bytes through the decode cache and hands the bundle
+// to the agent of the root it claims; a bundle for a root the device
+// does not subscribe to is refused with ErrScope, unverified.
+type Router struct {
+	agents  map[string]*Agent
+	primary *Agent
+}
+
+// NewRouter builds a router over one or more agents, keyed by their
+// Org. The first agent is the primary: bytes that do not decode are
+// charged to it.
+func NewRouter(agents ...*Agent) *Router {
+	r := &Router{agents: make(map[string]*Agent, len(agents)), primary: agents[0]}
+	for _, a := range agents {
+		r.agents[a.org] = a
+	}
+	return r
+}
+
+// Delivery is the outcome of one routed bundle.
+type Delivery struct {
+	// Org is the root the bundle claimed, or the primary agent's when
+	// the bytes did not decode.
+	Org string
+	// Kind is the bundle's kind ("" when the bytes did not decode).
+	Kind string
+	// Revision is the active revision of the agent that handled the
+	// bundle (the primary when none did).
+	Revision uint64
+	// Applied and Err are Agent.Apply's results.
+	Applied bool
+	Err     error
+}
+
+// ApplyWire decodes, routes and applies one wire bundle.
+func (r *Router) ApplyWire(data []byte) Delivery {
+	b, err := decodeShared(data)
+	if err != nil {
+		return Delivery{Org: r.primary.org, Revision: r.primary.Revision(), Err: err}
+	}
+	d := Delivery{Org: b.Manifest.Org, Kind: b.Kind()}
+	agent, subscribed := r.agents[d.Org]
+	if !subscribed {
+		d.Revision = r.primary.Revision()
+		d.Err = fmt.Errorf("%w: device not subscribed to org %q", ErrScope, d.Org)
+		return d
+	}
+	d.Applied, d.Err = agent.Apply(b)
+	d.Revision = agent.Revision()
+	return d
 }
 
 // Apply verifies the bundle and, if every check passes, activates its
@@ -105,7 +160,8 @@ func (a *Agent) ApplyWire(data []byte) (bool, error) {
 // content hashes and compilation, full-coverage equality — and only
 // then the live swap. applied reports whether the device moved to a new revision; a
 // re-delivered current revision is a benign no-op (false, nil) so
-// repair re-pushes converge without noise.
+// repair re-pushes converge without noise. Apply only reads b, which
+// may be a decode-cache entry shared with other agents.
 func (a *Agent) Apply(b Bundle) (applied bool, err error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -154,6 +210,8 @@ func (a *Agent) Apply(b Bundle) (applied bool, err error) {
 
 	// 6. Records: every carried policy must hash to its claimed
 	// content hash, compile to exactly one policy, and keep its ID.
+	// The hash is checked on the device's own bytes before the compile
+	// cache is consulted.
 	upserts := make([]policy.Policy, 0, len(b.Records))
 	seen := make(map[string]bool, len(b.Records))
 	for _, rec := range b.Records {
@@ -164,14 +222,14 @@ func (a *Agent) Apply(b Bundle) (applied bool, err error) {
 		if HashSource(rec.Source) != rec.Hash {
 			return false, fmt.Errorf("%w: record %s", ErrHash, rec.ID)
 		}
-		pols, cerr := policylang.CompileSource(rec.Source, policy.OriginShared)
+		p, cerr := compileRecord(rec)
 		if cerr != nil {
-			return false, fmt.Errorf("%w: record %s: %v", ErrMalformed, rec.ID, cerr)
+			return false, cerr
 		}
-		if len(pols) != 1 || pols[0].ID != rec.ID {
+		if p.ID != rec.ID {
 			return false, fmt.Errorf("%w: record %s does not compile to exactly that policy", ErrMalformed, rec.ID)
 		}
-		upserts = append(upserts, pols[0])
+		upserts = append(upserts, p)
 	}
 
 	// 7. Coverage: simulate the apply against the agent's bookkeeping

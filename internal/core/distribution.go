@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -105,12 +106,20 @@ type DistributorConfig struct {
 }
 
 // distRoot is one org root's control-plane state: publisher, ledger
-// segment, per-root gauges and the per-revision wire cache.
+// segment, per-root gauges, the lagging books and the per-revision wire
+// cache.
 type distRoot struct {
 	org    string
 	label  string // telemetry label ("" org renders as "default")
 	pub    *bundle.Publisher
 	ledger *audit.Log
+
+	// lagging counts the subscribed devices whose acked revision is
+	// below pub.Revision(), guarded by Distributor.mu. Enrollment and
+	// acks move it by one as a device crosses the current revision;
+	// publish and repair passes recount it from scratch. gLagging
+	// mirrors it, so the gauge costs O(1) per event.
+	lagging int
 
 	gRevision     *telemetry.Gauge
 	gLagging      *telemetry.Gauge
@@ -493,36 +502,35 @@ func (x *Distributor) EnrollRoots(deviceID string, v bundle.Verifier, orgs ...st
 	if len(orgs) == 0 {
 		return fmt.Errorf("core: device %q enrolled with no roots", deviceID)
 	}
-	agents := make(map[string]*bundle.Agent, len(orgs))
-	var primary *bundle.Agent
-	primaryOrg := ""
+	agents := make([]*bundle.Agent, 0, len(orgs))
 	ris := make([]int, 0, len(orgs))
 	for _, org := range orgs {
 		ri, known := x.rootOf[org]
 		if !known {
 			return fmt.Errorf("core: unknown root org %q", org)
 		}
-		if _, dup := agents[org]; dup {
+		if slices.Contains(ris, ri) {
 			continue
 		}
-		var agent *bundle.Agent
 		if org == "" {
-			agent = bundle.NewAgent(d.Policies(), v)
+			agents = append(agents, bundle.NewAgent(d.Policies(), v))
 		} else {
-			agent = bundle.NewOrgAgent(d.Policies(), v, org)
-		}
-		agents[org] = agent
-		if primary == nil {
-			primary = agent
-			primaryOrg = org
+			agents = append(agents, bundle.NewOrgAgent(d.Policies(), v, org))
 		}
 		ris = append(ris, ri)
 	}
-	x.col.SetBundleHandler(deviceID, x.deviceHandler(deviceID, agents, primary, primaryOrg))
+	x.col.SetBundleHandler(deviceID, x.deviceHandler(deviceID, bundle.NewRouter(agents...)))
 	x.mu.Lock()
 	slot := x.slotLocked(deviceID)
 	for _, ri := range ris {
-		x.fleet[slot].sub[ri].subscribed = true
+		sub := &x.fleet[slot].sub[ri]
+		if sub.subscribed {
+			continue
+		}
+		sub.subscribed = true
+		if r := x.roots[ri]; sub.acked < r.pub.Revision() {
+			r.setLagging(r.lagging + 1)
+		}
 	}
 	if !x.fleet[slot].enrolled {
 		x.fleet[slot].enrolled = true
@@ -566,25 +574,34 @@ func (x *Distributor) PublishRoot(org string, desired []policy.Policy) (uint64, 
 	x.col.Audit().Append(audit.KindBundle, x.id, "bundle.published",
 		map[string]string{"root": r.label, "revision": fmt.Sprint(rev), "policies": fmt.Sprint(len(full.Manifest.Coverage))})
 	x.fanoutRoot(ri)
-	x.updateLagging(ri)
 	return rev, nil
 }
 
 // fanoutRoot pushes the root's current revision to every subscriber.
-// With no engine it loops synchronously (serial-barrier caller); with
-// an engine it slices the canonical order into batches of FanoutBatch
+// Its pass over the subscribers recounts the root's lagging books
+// against the new revision before any push goes out, so acks —
+// inline on a synchronous bus — decrement an exact count. With no
+// engine it loops synchronously (serial-barrier caller); with an
+// engine it slices the canonical order into batches of FanoutBatch
 // devices and schedules each as a sharded event keyed by its first
 // device — batches encode from the shared wire cache and stage their
 // bus sends through the lane, so the send order (and therefore every
 // fault sample) is identical at any worker count.
 func (x *Distributor) fanoutRoot(ri int) {
+	r := x.roots[ri]
 	x.mu.Lock()
+	cur := r.pub.Revision()
 	subs := make([]int32, 0, len(x.order))
+	lagging := 0
 	for _, slot := range x.order {
-		if x.fleet[slot].sub[ri].subscribed {
+		if sub := &x.fleet[slot].sub[ri]; sub.subscribed {
 			subs = append(subs, slot)
+			if sub.acked < cur {
+				lagging++
+			}
 		}
 	}
+	r.setLagging(lagging)
 	x.mu.Unlock()
 
 	if x.engine == nil {
@@ -665,7 +682,7 @@ func (x *Distributor) repairRoot(ri int) int {
 		return 0
 	}
 	repaired := 0
-	for _, slot := range x.repairSweepOrder() {
+	for _, slot := range x.repairSweepOrder(ri) {
 		x.mu.Lock()
 		e := &x.fleet[slot]
 		sub := &e.sub[ri]
@@ -697,17 +714,27 @@ func (x *Distributor) repairRoot(ri int) int {
 		x.pushTo(ri, id, base, nil)
 		repaired++
 	}
-	x.updateLagging(ri)
 	return repaired
 }
 
 // repairSweepOrder snapshots the canonical order into the reusable
-// sweep buffer. RepairSweep runs from serial-barrier context, so one
-// buffer suffices.
-func (x *Distributor) repairSweepOrder() []int32 {
+// sweep buffer and, in the same pass, recounts one root's lagging
+// books before the sweep pushes anything. RepairSweep runs from
+// serial-barrier context, so one buffer suffices.
+func (x *Distributor) repairSweepOrder(ri int) []int32 {
+	r := x.roots[ri]
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	x.sweep = append(x.sweep[:0], x.order...)
+	cur := r.pub.Revision()
+	lagging := 0
+	x.sweep = x.sweep[:0]
+	for _, slot := range x.order {
+		x.sweep = append(x.sweep, slot)
+		if sub := &x.fleet[slot].sub[ri]; sub.subscribed && sub.acked < cur {
+			lagging++
+		}
+	}
+	r.setLagging(lagging)
 	return x.sweep
 }
 
@@ -796,15 +823,19 @@ func (x *Distributor) handle(m network.Message, lane *sim.Lane) {
 		audit.Resolve(lane, r.ledger).Append(audit.KindBundle, ack.Device, "bundle.status", ctx)
 		x.mu.Lock()
 		sub := &x.fleet[x.slotLocked(ack.Device)].sub[ri]
+		cur := r.pub.Revision()
+		wasLagging := sub.subscribed && sub.acked < cur
 		if ack.Revision > sub.acked {
 			sub.acked = ack.Revision
 		}
-		if sub.acked >= r.pub.Revision() {
+		if sub.acked >= cur {
 			sub.repairs = 0
 			sub.stuck = false
+			if wasLagging {
+				r.setLagging(r.lagging - 1)
+			}
 		}
 		x.mu.Unlock()
-		x.updateLagging(ri)
 	case TopicBundlePull:
 		pull, ok := m.Payload.(BundlePull)
 		if !ok {
@@ -844,7 +875,7 @@ func (x *Distributor) recordBadPayload(m network.Message, lane *sim.Lane) {
 // policy set untouched and are counted by cause; a bundle for a root
 // the device does not subscribe to is a scope refusal — the device
 // never even verifies streams outside its coalition membership.
-func (x *Distributor) deviceHandler(deviceID string, agents map[string]*bundle.Agent, primary *bundle.Agent, primaryOrg string) network.LaneHandler {
+func (x *Distributor) deviceHandler(deviceID string, router *bundle.Router) network.LaneHandler {
 	return func(m network.Message, lane *sim.Lane) {
 		if m.Topic != TopicBundle {
 			return
@@ -855,22 +886,9 @@ func (x *Distributor) deviceHandler(deviceID string, agents map[string]*bundle.A
 			return
 		}
 		log := x.col.Audit()
-		b, err := bundle.Decode(data)
-		agent, org := primary, primaryOrg
-		if err == nil {
-			if a, subscribed := agents[b.Manifest.Org]; subscribed {
-				agent, org = a, b.Manifest.Org
-			} else {
-				org = b.Manifest.Org
-				err = fmt.Errorf("%w: device not subscribed to org %q", bundle.ErrScope, org)
-			}
-		}
-		var applied bool
-		if err == nil {
-			applied, err = agent.Apply(b)
-		}
-		rev := agent.Revision()
-		ack := BundleAck{Device: deviceID, Org: org, Revision: rev, Applied: applied}
+		d := router.ApplyWire(data)
+		org, rev, err := d.Org, d.Revision, d.Err
+		ack := BundleAck{Device: deviceID, Org: org, Revision: rev, Applied: d.Applied}
 		if err != nil {
 			cause := bundle.CauseOf(err)
 			ack.Cause = cause
@@ -890,10 +908,10 @@ func (x *Distributor) deviceHandler(deviceID string, agents map[string]*bundle.A
 					})
 				})
 			}
-		} else if applied {
-			x.reg.Counter("bundle.activated", "kind", b.Kind()).Inc()
+		} else if d.Applied {
+			x.reg.Counter("bundle.activated", "kind", d.Kind).Inc()
 			audit.Resolve(lane, log).Append(audit.KindBundle, deviceID, "bundle.activated",
-				map[string]string{"revision": fmt.Sprint(rev), "kind": b.Kind()})
+				map[string]string{"revision": fmt.Sprint(rev), "kind": d.Kind})
 		}
 		x.scheduleSend(lane, func() {
 			x.send(network.Message{
@@ -913,17 +931,9 @@ func (x *Distributor) scheduleSend(lane *sim.Lane, fn func()) {
 	lane.Schedule(0, fn)
 }
 
-// updateLagging refreshes one root's bundle.lagging gauge.
-func (x *Distributor) updateLagging(ri int) {
-	r := x.roots[ri]
-	cur := r.pub.Revision()
-	n := 0
-	x.mu.Lock()
-	for _, slot := range x.order {
-		if e := &x.fleet[slot]; e.sub[ri].subscribed && e.sub[ri].acked < cur {
-			n++
-		}
-	}
-	x.mu.Unlock()
+// setLagging records the root's lagging count and mirrors it into the
+// bundle.lagging gauge. Caller holds Distributor.mu.
+func (r *distRoot) setLagging(n int) {
+	r.lagging = n
 	r.gLagging.Set(float64(n))
 }

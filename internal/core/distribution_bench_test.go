@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"sort"
 	"strconv"
 	"testing"
 	"time"
@@ -36,8 +37,8 @@ type fanoutWorld struct {
 	dist   *Distributor
 	reg    *telemetry.Registry
 	fleet  int
-	desire [][]policy.Policy
-	rev    int
+	desire map[string][][]policy.Policy
+	revs   map[string]int // revisions published per root
 }
 
 // buildFanoutWorld constructs a two-root fleet (half us, half uk) with
@@ -47,7 +48,8 @@ type fanoutWorld struct {
 // bus and the distributor, so fan-out runs as sharded batch events.
 func buildFanoutWorld(b *testing.B, fleet, workers int) *fanoutWorld {
 	b.Helper()
-	w := &fanoutWorld{clock: sim.NewClock(time.Date(2026, 8, 7, 0, 0, 0, 0, time.UTC)), fleet: fleet}
+	w := &fanoutWorld{clock: sim.NewClock(time.Date(2026, 8, 7, 0, 0, 0, 0, time.UTC)), fleet: fleet,
+		desire: map[string][][]policy.Policy{}, revs: map[string]int{}}
 	w.reg = telemetry.NewRegistry()
 	busOpts := []network.BusOption{}
 	if workers > 0 {
@@ -114,18 +116,20 @@ func buildFanoutWorld(b *testing.B, fleet, workers int) *fanoutWorld {
 	}
 	// Two alternating policy sets per org so every revision carries a
 	// real (non-empty) delta; compiled once, outside the timed loop.
-	for _, tag := range []string{"alpha", "beta"} {
-		var src string
-		for i := 0; i < 6; i++ {
-			src += fmt.Sprintf(
-				"policy us.bench%02d priority %d:\n    on tick\n    when intensity > 0\n    do adjust target %s category surveillance\n",
-				i, i+1, tag)
+	for _, org := range []string{"us", "uk"} {
+		for _, tag := range []string{"alpha", "beta"} {
+			var src string
+			for i := 0; i < 6; i++ {
+				src += fmt.Sprintf(
+					"policy %s.bench%02d priority %d:\n    on tick\n    when intensity > 0\n    do adjust target %s category surveillance\n",
+					org, i, i+1, tag)
+			}
+			pols, err := policylang.CompileSource(src, policy.OriginHuman)
+			if err != nil {
+				b.Fatal(err)
+			}
+			w.desire[org] = append(w.desire[org], pols)
 		}
-		pols, err := policylang.CompileSource(src, policy.OriginHuman)
-		if err != nil {
-			b.Fatal(err)
-		}
-		w.desire = append(w.desire, pols)
 	}
 	return w
 }
@@ -135,24 +139,36 @@ func buildFanoutWorld(b *testing.B, fleet, workers int) *fanoutWorld {
 // for the sharded shape (the run also processes the resulting acks).
 func (w *fanoutWorld) publishAndDrain(b *testing.B) {
 	b.Helper()
-	w.rev++
-	desired := w.desire[w.rev%len(w.desire)]
 	if w.engine == nil {
-		if _, err := w.dist.Publish(desired); err != nil {
+		w.revs["us"]++
+		if _, err := w.dist.Publish(w.desire["us"][w.revs["us"]%2]); err != nil {
 			b.Fatal(err)
 		}
 		return
 	}
+	w.publishRoot(b, "us")
+}
+
+// publishRoot cuts one root's next revision on the engine and runs it
+// until the fan-out and every ack have drained, returning the host
+// time from the publish to the last ack.
+func (w *fanoutWorld) publishRoot(b *testing.B, org string) time.Duration {
+	b.Helper()
+	w.revs[org]++
+	desired := w.desire[org][w.revs[org]%2]
 	var pubErr error
 	w.engine.Schedule(0, func() {
-		_, pubErr = w.dist.Publish(desired)
+		_, pubErr = w.dist.PublishRoot(org, desired)
 	})
+	start := time.Now()
 	if err := w.engine.Run(w.clock.Now().Add(time.Millisecond)); err != nil {
 		b.Fatal(err)
 	}
+	elapsed := time.Since(start)
 	if pubErr != nil {
 		b.Fatal(pubErr)
 	}
+	return elapsed
 }
 
 // verify fails the benchmark if a run was degenerate: every us-root
@@ -162,8 +178,8 @@ func (w *fanoutWorld) verify(b *testing.B) {
 	if lag := len(w.dist.LaggingRoot("us")); lag != 0 {
 		b.Fatalf("%d devices lagging after drain", lag)
 	}
-	if got := w.reg.CounterTotal("bundle.activated"); got < int64(w.rev)*int64(w.fleet/2) {
-		b.Fatalf("activations %d < published %d × %d subscribers", got, w.rev, w.fleet/2)
+	if got := w.reg.CounterTotal("bundle.activated"); got < int64(w.revs["us"])*int64(w.fleet/2) {
+		b.Fatalf("activations %d < published %d × %d subscribers", got, w.revs["us"], w.fleet/2)
 	}
 }
 
@@ -187,3 +203,50 @@ func BenchmarkDistributorFanoutSerial(b *testing.B) { benchFanout(b, 0) }
 func BenchmarkDistributorFanout1(b *testing.B)      { benchFanout(b, 1) }
 func BenchmarkDistributorFanout2(b *testing.B)      { benchFanout(b, 2) }
 func BenchmarkDistributorFanout4(b *testing.B)      { benchFanout(b, 4) }
+
+// fanoutScalingRounds is how many publishes each fleet size takes in
+// BenchmarkFanoutScaling, alternating roots, interleaved between sizes.
+const fanoutScalingRounds = 16
+
+// BenchmarkFanoutScaling is the measurement behind `make scaling-gate`:
+// two idle two-root fleets, 2k and 8k subscribers per root, built in
+// one process and published to alternately at two workers. Each
+// publish's converge time is divided by the root's subscriber count;
+// the reported per-sub-growth is the 8k median over the 2k median. A
+// fan-out that costs O(1) per subscriber reads about 1; a per-ack
+// O(fleet) scan makes it grow with the fleet.
+func BenchmarkFanoutScaling(b *testing.B) {
+	const small, large = 2000, 8000 // subscribers per root
+	worlds := []*fanoutWorld{buildFanoutWorld(b, 2*small, 2), buildFanoutWorld(b, 2*large, 2)}
+	perSub := make([][]float64, len(worlds))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for r := 0; r < fanoutScalingRounds; r++ {
+			org := []string{"us", "uk"}[r%2]
+			for k, w := range worlds {
+				d := w.publishRoot(b, org)
+				perSub[k] = append(perSub[k], float64(d.Nanoseconds())/float64(w.fleet/2))
+			}
+		}
+	}
+	b.StopTimer()
+	for _, w := range worlds {
+		for _, org := range []string{"us", "uk"} {
+			if lag := len(w.dist.LaggingRoot(org)); lag != 0 {
+				b.Fatalf("%d-device fleet: %d devices lagging root %s", w.fleet, lag, org)
+			}
+		}
+	}
+	b.ReportMetric(medianOf(perSub[0]), "ns/sub-2k")
+	b.ReportMetric(medianOf(perSub[1]), "ns/sub-8k")
+	b.ReportMetric(medianOf(perSub[1])/medianOf(perSub[0]), "per-sub-growth")
+}
+
+func medianOf(xs []float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	if n := len(s); n%2 == 0 {
+		return (s[n/2-1] + s[n/2]) / 2
+	}
+	return s[len(s)/2]
+}

@@ -55,9 +55,10 @@ echo "bench_json: wrote $(grep -c '"name"' "$out") benchmarks to $out"
 # Cumulative fleet-bench history: one dated row per fleet benchmark in
 # this run, appended to a growing JSON array. The file is rewritten
 # in place (strip the closing bracket, add rows, close again) so it
-# stays a single valid JSON document.
+# stays a single valid JSON document. Rows measured on uncommitted
+# changes carry a "-dirty" commit.
 rows=$(awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
-	-v commit="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)" '
+	-v commit="$(git describe --always --dirty --abbrev=7 2>/dev/null || echo unknown)" '
 /^BenchmarkE15Fleet|^BenchmarkE18|^BenchmarkServe|^BenchmarkEvaluate|^BenchmarkResidual|^BenchmarkSpecialize|^BenchmarkDistributorFanout/ {
     name = $1
     sub(/-[0-9]+$/, "", name)
