@@ -7,8 +7,12 @@ all: build test
 build:
 	go build ./...
 
+# vet also fails on any file gofmt would rewrite.
 vet:
 	go vet ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
+		echo "gofmt -l: files need formatting:" >&2; echo "$$out" >&2; exit 1; \
+	fi
 
 test: vet obs-smoke serve-smoke conservation scope-gate fuzz-short alloc-gate residual-gate scaling-gate
 	go test -shuffle=on ./...
@@ -49,12 +53,15 @@ scope-gate:
 		./internal/core
 	go test -run 'TestE21' ./internal/experiments
 
-# A short randomized pass over the bundle wire-format decoder on top of
-# its seeded corpus: no input may reach live policy state or crash the
-# fail-closed verification chain.
+# Short randomized passes on top of the seeded corpora: no input to
+# the bundle wire-format decoder may reach live policy state or crash
+# the fail-closed verification chain, and every policy-DSL source the
+# compiler accepts must format to a print/parse fixed point.
 fuzz-short:
 	go test -run=FuzzBundleDecode -fuzz=FuzzBundleDecode -fuzztime=10s \
 		./internal/bundle
+	go test -run=FuzzPolicyFixedPoint -fuzz=FuzzPolicyFixedPoint -fuzztime=10s \
+		./internal/policylang
 
 # The admission-plane conservation gate, runnable on its own: the E16
 # saturation ledger must balance exactly (sent == delivered + dropped
@@ -120,9 +127,9 @@ bench-admission:
 
 # Bundle distribution hot paths: publish, verify+activate (full and
 # delta) and the fail-closed reject path into BENCH_PR6.json (PR6);
-# then the 100k-device multi-root publish fan-out — synchronous
-# per-device loop vs sharded batch events at 1/2/4 workers — into
-# BENCH_PR10.json (PR10), with dated rows in BENCH_HISTORY.json.
+# then the 100k-device multi-root publish fan-out — sharded batch
+# events at 1/2/4 workers — into BENCH_PR10.json (PR10), with dated
+# rows in BENCH_HISTORY.json.
 bench-bundle:
 	go test -bench='BenchmarkBundle' -benchmem -count=5 \
 		./internal/bundle | tee bench_bundle.txt

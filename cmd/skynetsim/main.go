@@ -1,7 +1,10 @@
 // Command skynetsim runs a JSON scenario through the full framework: a
 // collective of guarded devices receives a scripted event stream while
 // the watchdog sweeps, and the tool reports safety metrics and the
-// audit trail summary.
+// audit trail summary. Every scenario runs on the discrete-event
+// engine, with the audit journal stamped in virtual time: each step is
+// a barrier event, deliveries are events sharded per target device,
+// and watchdog sweeps are barriers behind them.
 //
 // Usage:
 //
@@ -14,13 +17,11 @@
 //	--trace-out file      write the span ring buffer as JSONL on exit
 //	--linger d            keep the process (and metrics server) alive
 //	                      for d after the scenario completes
-//	--parallelism n       run the event stream on the discrete-event
-//	                      engine with n workers: deliveries are sharded
-//	                      per target device, watchdog sweeps are serial
-//	                      barriers, and the audit journal (on virtual
-//	                      time) is byte-identical to a serial run.
-//	                      Incompatible with a chaos block, whose fault
-//	                      sampling is delivery-order-dependent.
+//	--parallelism n       engine workers (default 1, the engine at one
+//	                      worker); the audit journal is byte-identical
+//	                      at any worker count. Values above 1 are
+//	                      refused with a chaos or bundle block, which
+//	                      no worker-count differential covers yet.
 //
 // Scenario format:
 //
@@ -45,7 +46,8 @@
 // the in-memory bus with the configured loss/duplication and the
 // resilience stack (bounded retries, per-device circuit breakers),
 // and one device can crash mid-run and be recovered from its latest
-// audit-journal checkpoint:
+// audit-journal checkpoint. Sends, checkpoints and the crash/restart
+// run in barrier events, so fault sampling follows send order:
 //
 //	"chaos": {"loss": 0.3, "duplication": 0.1, "maxAttempts": 4,
 //	          "crashDevice": "d1", "crashAtStep": 3, "restartAtStep": 8}
@@ -54,10 +56,9 @@
 // front of delivery: events then flow over the bus into bounded,
 // rate-limited per-device intake queues, overload is shed with typed
 // causes instead of lost, and the run reports the exact conservation
-// accounting (sent == delivered + dropped + shed). The scenario runs
-// on the discrete-event engine even at --parallelism 1 (queues drain
-// in batched engine events), and the block is incompatible with
-// "chaos", whose serial crash/restart path bypasses the engine:
+// accounting (sent == delivered + dropped + shed). Queues drain in
+// batched engine events. Incompatible with "chaos", which owns the bus
+// differently:
 //
 //	"saturation": {"queueCapacity": 8, "rate": 2, "burst": 2,
 //	               "drainBatch": 4, "drainIntervalMs": 100}
@@ -235,7 +236,7 @@ func run(args []string, out io.Writer) error {
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /traces and /healthz on this address")
 	traceOut := fs.String("trace-out", "", "write finished spans as JSONL to this file on exit")
 	linger := fs.Duration("linger", 0, "keep the process (and metrics server) alive this long after the run")
-	parallelism := fs.Int("parallelism", 1, "engine workers for sharded event delivery (1 = serial, no engine)")
+	parallelism := fs.Int("parallelism", 1, "engine workers for sharded event delivery (1 = the engine at one worker)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -268,33 +269,24 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	if *parallelism > 1 && sc.Chaos != nil {
-		return fmt.Errorf("--parallelism cannot be combined with a chaos block: bus fault sampling is delivery-order-dependent")
+		return fmt.Errorf("--parallelism cannot be combined with a chaos block: no worker-count differential covers chaos runs")
 	}
 	if sc.Saturation != nil && sc.Chaos != nil {
-		return fmt.Errorf("a saturation block cannot be combined with a chaos block: admission drains on the engine, chaos crash/restart runs serially")
+		return fmt.Errorf("a saturation block cannot be combined with a chaos block: each configures the bus differently")
 	}
 	if sc.Bundle != nil && (sc.Chaos != nil || sc.Saturation != nil) {
 		return fmt.Errorf("a bundle block cannot be combined with a chaos or saturation block: each configures the bus differently")
 	}
 	if sc.Bundle != nil && *parallelism > 1 {
-		return fmt.Errorf("--parallelism cannot be combined with a bundle block: bus fault sampling is delivery-order-dependent")
+		return fmt.Errorf("--parallelism cannot be combined with a bundle block: no worker-count differential covers bundle runs")
 	}
-	// In parallel mode — and under a saturation block, whose intake
-	// queues drain in batched engine events — the scenario runs on the
-	// discrete-event engine and the journal is stamped with virtual
-	// time, so its hash chain is reproducible at any worker count.
-	var (
-		clock  *sim.Clock
-		engine *sim.Engine
-	)
-	var logOpts []audit.Option
-	if *parallelism > 1 || sc.Saturation != nil {
-		clock = sim.NewClock(time.Date(2026, 7, 6, 0, 0, 0, 0, time.UTC))
-		engine = sim.NewEngine(clock)
-		engine.SetParallelism(*parallelism)
-		logOpts = append(logOpts, audit.WithClock(clock.Now))
-	}
-	log := audit.New(logOpts...)
+	// Every scenario runs on the discrete-event engine and the journal
+	// is stamped with virtual time, so its hash chain is reproducible at
+	// any worker count.
+	clock := sim.NewClock(time.Date(2026, 7, 6, 0, 0, 0, 0, time.UTC))
+	engine := sim.NewEngine(clock)
+	engine.SetParallelism(*parallelism)
+	log := audit.New(audit.WithClock(clock.Now))
 	coreCfg := core.Config{
 		Name:            sc.Name,
 		Audit:           log,
@@ -321,6 +313,7 @@ func run(args []string, out io.Writer) error {
 			attempts = 3
 		}
 		bus = network.NewBus(rand.New(rand.NewSource(seed)),
+			network.WithEngine(engine),
 			network.WithLoss(sc.Chaos.Loss),
 			network.WithDuplication(sc.Chaos.Duplication),
 			network.WithMetrics(metrics))
@@ -346,6 +339,7 @@ func run(args []string, out io.Writer) error {
 			seed = 1
 		}
 		bus = network.NewBus(rand.New(rand.NewSource(seed)),
+			network.WithEngine(engine),
 			network.WithLoss(sc.Bundle.Loss),
 			network.WithMetrics(metrics))
 		coreCfg.Bus = bus
@@ -355,9 +349,9 @@ func run(args []string, out io.Writer) error {
 	// bus: each device gets a bounded, rate-limited intake queue that
 	// drains in batched engine events, and overload is shed with typed
 	// causes — never lost silently.
-	var intake *admission.Controller
+	var admitted *network.Bus
 	if sat := sc.Saturation; sat != nil {
-		intake, err = admission.New(admission.Config{
+		intake, err := admission.New(admission.Config{
 			QueueCapacity: sat.QueueCapacity,
 			Rate:          sat.Rate,
 			Burst:         sat.Burst,
@@ -369,7 +363,7 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		bus = network.NewBus(nil,
+		admitted = network.NewBus(nil,
 			network.WithEngine(engine),
 			network.WithMetrics(metrics),
 			network.WithAdmission(intake))
@@ -391,9 +385,18 @@ func run(args []string, out io.Writer) error {
 		})
 	}
 
-	specByID := make(map[string]deviceSpec, len(sc.Devices))
-	if err := buildFleet(sc, schema, collective, guardFor, log, registry, tracer, specByID); err != nil {
+	if err := buildFleet(sc, schema, collective, guardFor, log, registry, tracer); err != nil {
 		return err
+	}
+	var chaos *chaosRun
+	if sender != nil {
+		chaos = &chaosRun{spec: sc.Chaos, sender: sender, guardFor: guardFor,
+			log: log, registry: registry, tracer: tracer}
+		for _, spec := range sc.Devices {
+			if spec.ID == sc.Chaos.CrashDevice {
+				chaos.victim = spec
+			}
+		}
 	}
 
 	// The bundle distribution phase runs before the event stream so the
@@ -407,21 +410,9 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 
-	executed, denied := 0, 0
-	sendFailures, recoveries := 0, 0
-	if sc.Saturation != nil {
-		executed, denied, sendFailures, err = runSaturationEvents(sc, collective, engine, clock, bus, out)
-		if err != nil {
-			return err
-		}
-	} else if engine != nil {
-		executed, denied, err = runShardedEvents(sc, collective, engine, clock, out)
-		if err != nil {
-			return err
-		}
-	} else {
-		executed, denied, sendFailures, recoveries = runSerialEvents(
-			sc, collective, specByID, guardFor, log, tracer, registry, sender, out)
+	executed, denied, err := runEvents(sc, collective, engine, chaos, admitted, tracer, out)
+	if err != nil {
+		return err
 	}
 	if sc.Chaos != nil {
 		executed = len(log.ByKind(audit.KindAction))
@@ -443,16 +434,16 @@ func run(args []string, out io.Writer) error {
 		delivered, dropped := bus.Stats()
 		fmt.Fprintf(out, "  chaos: delivered=%d dropped=%d duplicated=%d retries=%d breaker-opens=%d send-failures=%d recoveries=%d\n",
 			delivered, dropped, bus.Duplicated(),
-			metrics.Counter("resilience.retries"), sender.Breakers.Opens(),
-			sendFailures, recoveries)
+			metrics.Counter("resilience.retries"), chaos.sender.Breakers.Opens(),
+			chaos.sendFailures, chaos.recoveries)
 	}
-	if sc.Saturation != nil {
-		if err := bus.CheckConservation(); err != nil {
+	if admitted != nil {
+		if err := admitted.CheckConservation(); err != nil {
 			return err
 		}
-		delivered, dropped := bus.Stats()
+		delivered, dropped := admitted.Stats()
 		fmt.Fprintf(out, "  saturation: sent=%d delivered=%d shed=%d dropped=%d pending=%d (conservation exact)\n",
-			bus.Sent(), delivered, bus.Shed(), dropped, bus.PendingAdmitted())
+			admitted.Sent(), delivered, admitted.Shed(), dropped, admitted.PendingAdmitted())
 	}
 	if sc.Bundle != nil {
 		r := bundleResult
@@ -494,86 +485,41 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-// runShardedEvents runs the scenario's event stream on the engine:
-// step s fires at s virtual seconds, each target's delivery is an
-// event sharded by device ID (so the fleet fans out across the worker
-// pool with per-device ordering intact), and the periodic watchdog
-// sweep is an unkeyed barrier sequenced after the step's deliveries.
-// Tallies are atomics — commutative, hence identical at any worker
-// count — and audit appends merge through the delivery lanes in
-// deterministic (time, seq) order.
-func runShardedEvents(sc scenario, collective *core.Collective, engine *sim.Engine,
-	clock *sim.Clock, out io.Writer) (executed, denied int, err error) {
+// runEvents runs the scenario's event stream on the engine. Step s is
+// a barrier at s virtual seconds: it opens the step's root span,
+// resolves the targets against the current membership (a chaos crash
+// may have removed one) and dispatches the event in one of three ways:
+//
+//   - by default, one delivery event per target sharded by device ID,
+//     so the fleet fans out across the worker pool with per-device
+//     ordering intact;
+//   - with a chaos block, through the resilience stack onto the lossy
+//     bus;
+//   - with a saturation block, onto the admission-bounded bus, where
+//     each send is admitted into the device's intake queue (drained in
+//     engine events sharded per device) or shed and reported.
+//
+// A second barrier, scheduled behind those deliveries, takes the chaos
+// checkpoints and crash/restart and then the periodic watchdog sweep.
+// Sends happen only in barriers, so admission decisions and fault
+// samples are ordered. Tallies are atomics — commutative, hence
+// identical at any worker count — and audit appends merge through the
+// delivery lanes in deterministic (time, seq) order.
+func runEvents(sc scenario, collective *core.Collective, engine *sim.Engine, chaos *chaosRun,
+	admitted *network.Bus, tracer *telemetry.Tracer, out io.Writer) (executed, denied int, err error) {
 	var execN, denyN atomic.Int64
-	step := 0
-	for _, ev := range sc.Events {
-		repeat := ev.Repeat
-		if repeat <= 0 {
-			repeat = 1
-		}
-		for r := 0; r < repeat; r++ {
-			step++
-			at := time.Duration(step) * time.Second
-			event := policy.Event{Type: ev.Type, Source: "scenario", Attrs: ev.Attrs}
-			targets := []string{ev.Target}
-			if ev.Target == "*" || ev.Target == "" {
-				targets = targets[:0]
-				for _, d := range collective.Devices() {
-					targets = append(targets, d.ID())
-				}
-			}
-			for _, id := range targets {
-				id := id
-				engine.ScheduleShard(at, id, func(lane *sim.Lane) {
-					execs, err := collective.DeliverWith(id, event, lane)
-					if err != nil {
-						return // removed or deactivated devices do not act
-					}
-					for _, e := range execs {
-						if e.Executed() {
-							execN.Add(1)
-						} else if !e.Verdict.Allowed() {
-							denyN.Add(1)
-						}
-					}
-				})
-			}
-			if step%sc.SweepEvery == 0 {
-				s := step
-				engine.Schedule(at, func() {
-					if deactivated, _ := collective.SweepWatchdog(); len(deactivated) > 0 {
-						fmt.Fprintf(out, "step %d: watchdog deactivated %v\n", s, deactivated)
-					}
-				})
-			}
-		}
-	}
-	if err := engine.Run(clock.Now().Add(time.Duration(step+1) * time.Second)); err != nil {
-		return 0, 0, err
-	}
-	return int(execN.Load()), int(denyN.Load()), nil
-}
-
-// runSaturationEvents runs the event stream through the
-// admission-bounded bus: step s fires at s virtual seconds as a
-// barrier event whose sends are admitted, shed with a typed cause, or
-// queued; queues drain in engine events sharded per device, so the
-// run is deterministic at any --parallelism. A shed send counts as a
-// send failure in the summary — the conservation line reports the
-// exact books.
-func runSaturationEvents(sc scenario, collective *core.Collective, engine *sim.Engine,
-	clock *sim.Clock, bus *network.Bus, out io.Writer) (executed, denied, shed int, err error) {
-	var execN, denyN, shedN atomic.Int64
-	for _, d := range collective.Devices() {
-		id := d.ID()
-		if err := bus.AttachLane(id, func(msg network.Message, lane *sim.Lane) {
-			ev, ok := msg.Payload.(policy.Event)
-			if !ok {
-				return
-			}
-			execs, err := collective.DeliverWith(id, ev, lane)
+	// deliver is one target's delivery event. A named target's failure
+	// (unknown, crashed or deactivated device) is reported; a broadcast
+	// skips such members silently. A named target is the step's only
+	// delivery, so the report never races another.
+	deliver := func(step int, id string, event policy.Event, named bool) func(*sim.Lane) {
+		return func(lane *sim.Lane) {
+			execs, err := collective.DeliverWith(id, event, lane)
 			if err != nil {
-				return // removed or deactivated devices do not act
+				if named {
+					fmt.Fprintf(out, "step %d: %v\n", step, err)
+				}
+				return
 			}
 			for _, e := range execs {
 				if e.Executed() {
@@ -582,8 +528,18 @@ func runSaturationEvents(sc scenario, collective *core.Collective, engine *sim.E
 					denyN.Add(1)
 				}
 			}
-		}); err != nil {
-			return 0, 0, 0, err
+		}
+	}
+	if admitted != nil {
+		for _, d := range collective.Devices() {
+			id := d.ID()
+			if err := admitted.AttachLane(id, func(msg network.Message, lane *sim.Lane) {
+				if ev, ok := msg.Payload.(policy.Event); ok {
+					deliver(0, id, ev, false)(lane)
+				}
+			}); err != nil {
+				return 0, 0, err
+			}
 		}
 	}
 	step := 0
@@ -594,151 +550,122 @@ func runSaturationEvents(sc scenario, collective *core.Collective, engine *sim.E
 		}
 		for r := 0; r < repeat; r++ {
 			step++
-			at := time.Duration(step) * time.Second
-			event := policy.Event{Type: ev.Type, Source: "scenario", Attrs: ev.Attrs}
-			targets := []string{ev.Target}
-			if ev.Target == "*" || ev.Target == "" {
-				targets = targets[:0]
-				for _, d := range collective.Devices() {
-					targets = append(targets, d.ID())
-				}
-			}
-			targets = append([]string(nil), targets...)
-			s := step
-			// The step is a barrier: sends happen serially, so admission
-			// decisions (and any future fault sampling) are ordered.
-			engine.Schedule(at, func() {
-				for _, id := range targets {
-					if err := bus.Send(network.Message{
-						From: "scenario", To: id, Topic: "command", Payload: event,
-					}); err != nil {
-						shedN.Add(1)
-						fmt.Fprintf(out, "step %d: %s: %v\n", s, id, err)
-					}
-				}
-			})
-			if step%sc.SweepEvery == 0 {
-				engine.Schedule(at, func() {
-					if deactivated, _ := collective.SweepWatchdog(); len(deactivated) > 0 {
-						fmt.Fprintf(out, "step %d: watchdog deactivated %v\n", s, deactivated)
-					}
-				})
-			}
-		}
-	}
-	// Two extra virtual seconds give the drain events room to empty the
-	// intake queues before the books are checked.
-	if err := engine.Run(clock.Now().Add(time.Duration(step+2) * time.Second)); err != nil {
-		return 0, 0, 0, err
-	}
-	return int(execN.Load()), int(denyN.Load()), int(shedN.Load()), nil
-}
-
-// runSerialEvents is the original synchronous event loop: direct (or
-// chaos-bus) delivery step by step, with checkpointing, scripted
-// crash/restart and inline watchdog sweeps.
-func runSerialEvents(sc scenario, collective *core.Collective, specByID map[string]deviceSpec,
-	guardFor func(deviceSpec) guard.Guard, log *audit.Log, tracer *telemetry.Tracer,
-	registry *telemetry.Registry, sender *network.ReliableSender,
-	out io.Writer) (executed, denied, sendFailures, recoveries int) {
-	step := 0
-	for _, ev := range sc.Events {
-		repeat := ev.Repeat
-		if repeat <= 0 {
-			repeat = 1
-		}
-		for r := 0; r < repeat; r++ {
-			step++
-			event := policy.Event{Type: ev.Type, Source: "scenario", Attrs: ev.Attrs}
-			if sc.Chaos != nil {
-				// Chaos path: per-device bus deliveries through retries
-				// and breakers; execution counts come from the audit
-				// trail afterwards. Each scenario event opens one root
-				// span so every delivery — including retried and
-				// duplicated ones — stays in one trace.
+			s, evType, attrs, target := step, ev.Type, ev.Attrs, ev.Target
+			engine.Schedule(time.Duration(step)*time.Second, func() {
 				span := tracer.StartSpan("scenario.command", "scenario", telemetry.SpanContext{})
-				span.SetAttr("event", ev.Type)
+				span.SetAttr("event", evType)
+				event := policy.Event{Type: evType, Source: "scenario", Attrs: attrs}
 				event.Labels = telemetry.Inject(span.Context(), event.Labels)
-				targets := []string{ev.Target}
-				if ev.Target == "*" || ev.Target == "" {
+				named := target != "*" && target != ""
+				targets := []string{target}
+				if !named {
 					targets = targets[:0]
 					for _, d := range collective.Devices() {
 						targets = append(targets, d.ID())
 					}
 				}
-				for _, id := range targets {
-					if err := sender.Send(network.Message{
-						From: "scenario", To: id, Topic: "command", Payload: event,
-					}); err != nil {
-						sendFailures++
+				switch {
+				case chaos != nil:
+					chaos.send(event, targets)
+				case admitted != nil:
+					for _, id := range targets {
+						if err := admitted.Send(network.Message{
+							From: "scenario", To: id, Topic: "command", Payload: event,
+						}); err != nil {
+							fmt.Fprintf(out, "step %d: %s: %v\n", s, id, err)
+						}
+					}
+				default:
+					for _, id := range targets {
+						engine.ScheduleShard(0, id, deliver(s, id, event, named))
 					}
 				}
 				span.Finish()
-			} else {
-				var results map[string][]device.Execution
-				if ev.Target == "*" || ev.Target == "" {
-					results = collective.Command(event)
-				} else {
-					execs, err := collective.Deliver(ev.Target, event)
-					if err != nil {
-						fmt.Fprintf(out, "step %d: %v\n", step, err)
-						continue
+				engine.Schedule(0, func() {
+					if chaos != nil {
+						chaos.afterStep(s, collective, out)
 					}
-					results = map[string][]device.Execution{ev.Target: execs}
-				}
-				for _, execs := range results {
-					for _, e := range execs {
-						if e.Executed() {
-							executed++
-						} else if !e.Verdict.Allowed() {
-							denied++
+					if s%sc.SweepEvery == 0 {
+						if deactivated, _ := collective.SweepWatchdog(); len(deactivated) > 0 {
+							fmt.Fprintf(out, "step %d: watchdog deactivated %v\n", s, deactivated)
 						}
 					}
-				}
-			}
-			if sc.Chaos != nil {
-				// Checkpoint active devices so a crash is recoverable,
-				// then apply the scripted crash/restart.
-				for _, d := range collective.Devices() {
-					if !d.Deactivated() {
-						_, _ = resilience.Checkpoint(log, d)
-					}
-				}
-				if sc.Chaos.CrashDevice != "" && step == sc.Chaos.CrashAtStep {
-					if collective.RemoveDevice(sc.Chaos.CrashDevice) {
-						fmt.Fprintf(out, "step %d: chaos crashed %s\n", step, sc.Chaos.CrashDevice)
-					}
-				}
-				if sc.Chaos.CrashDevice != "" && sc.Chaos.RestartAtStep > 0 && step == sc.Chaos.RestartAtStep {
-					spec := specByID[sc.Chaos.CrashDevice]
-					d, err := resilience.Recover(log, sc.Chaos.CrashDevice, device.Config{
-						Type:         spec.Type,
-						Organization: spec.Org,
-						Guard:        guardFor(spec),
-						KillSwitch:   collective.KillSwitch(),
-						Audit:        log,
-						Telemetry:    registry,
-						Tracer:       tracer,
-					})
-					if err != nil {
-						fmt.Fprintf(out, "step %d: recovery failed: %v\n", step, err)
-					} else if err := collective.AddDevice(d, nil); err != nil {
-						fmt.Fprintf(out, "step %d: readmission failed: %v\n", step, err)
-					} else {
-						recoveries++
-						fmt.Fprintf(out, "step %d: chaos recovered %s from checkpoint (state=%s)\n",
-							step, d.ID(), d.CurrentState())
-					}
-				}
-			}
-			if step%sc.SweepEvery == 0 {
-				if deactivated, _ := collective.SweepWatchdog(); len(deactivated) > 0 {
-					fmt.Fprintf(out, "step %d: watchdog deactivated %v\n", step, deactivated)
-				}
-			}
+				})
+			})
 		}
 	}
-	return executed, denied, sendFailures, recoveries
+	// Two extra virtual seconds give admission drain events room to
+	// empty the intake queues before the books are checked.
+	if err := engine.Run(engine.Clock().Now().Add(time.Duration(step+2) * time.Second)); err != nil {
+		return 0, 0, err
+	}
+	return int(execN.Load()), int(denyN.Load()), nil
+}
+
+// chaosRun is a chaos block's delivery path: per-device sends over the
+// lossy bus through retries and breakers, checkpoints of every active
+// device after each step, and the scripted crash/restart. Both halves
+// run in barrier events, so fault sampling stays in send order.
+type chaosRun struct {
+	spec     *chaosSpec
+	victim   deviceSpec // the CrashDevice's spec, rebuilt on restart
+	sender   *network.ReliableSender
+	guardFor func(deviceSpec) guard.Guard
+	log      *audit.Log
+	registry *telemetry.Registry
+	tracer   *telemetry.Tracer
+
+	sendFailures, recoveries int
+}
+
+// send hands the step's event to every target through the resilience
+// stack; execution counts come from the audit trail afterwards.
+func (c *chaosRun) send(event policy.Event, targets []string) {
+	for _, id := range targets {
+		if err := c.sender.Send(network.Message{
+			From: "scenario", To: id, Topic: "command", Payload: event,
+		}); err != nil {
+			c.sendFailures++
+		}
+	}
+}
+
+// afterStep checkpoints active devices so a crash is recoverable, then
+// applies the scripted crash/restart.
+func (c *chaosRun) afterStep(step int, collective *core.Collective, out io.Writer) {
+	for _, d := range collective.Devices() {
+		if !d.Deactivated() {
+			_, _ = resilience.Checkpoint(c.log, d)
+		}
+	}
+	victim := c.spec.CrashDevice
+	if victim == "" {
+		return
+	}
+	if step == c.spec.CrashAtStep && collective.RemoveDevice(victim) {
+		fmt.Fprintf(out, "step %d: chaos crashed %s\n", step, victim)
+	}
+	if c.spec.RestartAtStep <= 0 || step != c.spec.RestartAtStep {
+		return
+	}
+	d, err := resilience.Recover(c.log, victim, device.Config{
+		Type:         c.victim.Type,
+		Organization: c.victim.Org,
+		Guard:        c.guardFor(c.victim),
+		KillSwitch:   collective.KillSwitch(),
+		Audit:        c.log,
+		Telemetry:    c.registry,
+		Tracer:       c.tracer,
+	})
+	if err != nil {
+		fmt.Fprintf(out, "step %d: recovery failed: %v\n", step, err)
+	} else if err := collective.AddDevice(d, nil); err != nil {
+		fmt.Fprintf(out, "step %d: readmission failed: %v\n", step, err)
+	} else {
+		c.recoveries++
+		fmt.Fprintf(out, "step %d: chaos recovered %s from checkpoint (state=%s)\n",
+			step, d.ID(), d.CurrentState())
+	}
 }
 
 // bundleSummary carries the distribution phase's books into the run
@@ -754,10 +681,12 @@ type bundleSummary struct {
 // key, each revision is published and repaired to convergence over the
 // (possibly lossy) bus, and the scripted tampered pushes afterwards
 // must all be refused fail-closed with every device still on the
-// published revision.
+// published revision. Each publish, repair sweep and push runs on the
+// bus's engine until its deliveries and acks have settled.
 func runBundlePhase(sc scenario, collective *core.Collective, bus *network.Bus,
 	registry *telemetry.Registry, out io.Writer) (*bundleSummary, error) {
 	spec := sc.Bundle
+	engine := bus.Engine()
 	maxSweeps := spec.MaxSweeps
 	if maxSweeps <= 0 {
 		maxSweeps = 16
@@ -787,9 +716,15 @@ func runBundlePhase(sc scenario, collective *core.Collective, bus *network.Bus,
 		if err != nil {
 			return nil, fmt.Errorf("bundle revision %d: %w", i+1, err)
 		}
+		if err := engine.RunUntilIdle(); err != nil {
+			return nil, err
+		}
 		sweeps := 0
 		for !dist.Converged() && sweeps < maxSweeps {
 			dist.RepairSweep()
+			if err := engine.RunUntilIdle(); err != nil {
+				return nil, err
+			}
 			sweeps++
 		}
 		if !dist.Converged() {
@@ -845,6 +780,9 @@ func runBundlePhase(sc scenario, collective *core.Collective, bus *network.Bus,
 				}
 			}
 		}
+		if err := engine.RunUntilIdle(); err != nil {
+			return nil, err
+		}
 	}
 	summary := &bundleSummary{dist: dist, corruptDelivered: delivered, corruptRejected: rejected() - before}
 	if summary.corruptRejected != delivered {
@@ -865,16 +803,10 @@ func runBundlePhase(sc scenario, collective *core.Collective, bus *network.Bus,
 // variable list with a disjunction of bad conditions.
 // buildFleet constructs the scenario's devices — initial state, guard
 // stack, compiled policies — and registers them with the collective.
-// specByID, when non-nil, is filled with each device's spec for later
-// lookups (the chaos crash/restart path needs them).
 func buildFleet(sc scenario, schema *statespace.Schema, collective *core.Collective,
 	guardFor func(deviceSpec) guard.Guard, log *audit.Log,
-	registry *telemetry.Registry, tracer *telemetry.Tracer,
-	specByID map[string]deviceSpec) error {
+	registry *telemetry.Registry, tracer *telemetry.Tracer) error {
 	for _, spec := range sc.Devices {
-		if specByID != nil {
-			specByID[spec.ID] = spec
-		}
 		values := map[string]float64{}
 		if len(sc.Variables) == 0 {
 			values["heat"] = spec.Heat

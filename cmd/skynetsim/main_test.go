@@ -139,10 +139,10 @@ func TestRunParallelScenario(t *testing.T) {
 	}`
 	path := writeScenario(t, scenario)
 
-	// Serial engine run and parallel runs must print the same summary:
-	// same executed/denied tallies, same fleet state, verified chain.
+	// Every worker count must print the same summary: same
+	// executed/denied tallies, same fleet state, same verified chain.
 	summaries := make(map[string]string)
-	for _, workers := range []string{"2", "4"} {
+	for _, workers := range []string{"1", "2", "4"} {
 		var sb strings.Builder
 		if err := run([]string{"--parallelism", workers, path}, &sb); err != nil {
 			t.Fatalf("run --parallelism %s: %v", workers, err)
@@ -153,6 +153,10 @@ func TestRunParallelScenario(t *testing.T) {
 		t.Errorf("parallel summaries diverge:\n-- 2 workers --\n%s\n-- 4 workers --\n%s",
 			summaries["2"], summaries["4"])
 	}
+	if summaries["1"] != summaries["2"] {
+		t.Errorf("one-worker summary diverges:\n-- 1 worker --\n%s\n-- 2 workers --\n%s",
+			summaries["1"], summaries["2"])
+	}
 	out := summaries["2"]
 	for _, want := range []string{
 		"watchdog deactivated [d3 d4]",
@@ -161,22 +165,6 @@ func TestRunParallelScenario(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q:\n%s", want, out)
-		}
-	}
-
-	// The direct serial path must agree on the tallies and fleet state
-	// (audit entry count differs only in that both paths verify).
-	var serial strings.Builder
-	if err := run([]string{path}, &serial); err != nil {
-		t.Fatalf("run serial: %v", err)
-	}
-	for _, line := range strings.Split(serial.String(), "\n") {
-		if strings.Contains(line, "actions executed") ||
-			strings.Contains(line, "actions denied") ||
-			strings.Contains(line, "state=") {
-			if !strings.Contains(out, line) {
-				t.Errorf("parallel run diverges from serial on %q:\n%s", line, out)
-			}
 		}
 	}
 }

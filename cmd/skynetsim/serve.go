@@ -107,7 +107,7 @@ func runServe(args []string, out io.Writer) error {
 			Tracer:     tracer,
 		})
 	}
-	if err := buildFleet(sc, schema, collective, guardFor, log, registry, tracer, nil); err != nil {
+	if err := buildFleet(sc, schema, collective, guardFor, log, registry, tracer); err != nil {
 		return err
 	}
 

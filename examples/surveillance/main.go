@@ -61,8 +61,12 @@ func run() error {
 	}
 
 	auditLog := audit.New()
+	// Requests the drone routes to its peers are bus deliveries on the
+	// engine; each stimulus runs it until the collaboration settles.
+	engine := sim.NewEngine(clock)
 	collective, err := core.New(core.Config{
 		Name:       "coalition-recon",
+		Bus:        network.NewBus(nil, network.WithEngine(engine)),
 		Audit:      auditLog,
 		Coalition:  coal,
 		KillSecret: []byte("coalition-quorum"),
@@ -228,11 +232,17 @@ func run() error {
 	}); err != nil {
 		return err
 	}
+	if err := engine.RunUntilIdle(); err != nil {
+		return err
+	}
 
 	fmt.Println(">> drone-1 sees a suspect convoy (threat 0.8) — pasture route has a civilian")
 	if _, err := collective.Deliver("drone-1", policy.Event{
 		Type: "convoy-sighted", Attrs: map[string]float64{"threat": 0.8},
 	}); err != nil {
+		return err
+	}
+	if err := engine.RunUntilIdle(); err != nil {
 		return err
 	}
 	denials := auditLog.ByKind(audit.KindDenial)

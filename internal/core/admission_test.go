@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -32,7 +31,7 @@ func TestDispatcherAdmissionShedsAreAccounted(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	bus := network.NewBus(rand.New(rand.NewSource(1)), network.WithMetrics(metrics))
+	bus := engineBus(1, network.WithMetrics(metrics))
 	c := newCollective(t, func(cfg *Config) {
 		cfg.Audit = log
 		cfg.Bus = bus

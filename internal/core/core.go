@@ -40,8 +40,10 @@ type Config struct {
 	Name string
 	// Audit is the shared audit log; nil creates one.
 	Audit *audit.Log
-	// Bus is the communication substrate; nil creates a synchronous
-	// in-memory bus without loss.
+	// Bus is the communication substrate; its engine runs every
+	// delivery. Nil creates an attachment-only bus without an engine,
+	// for fleets that never send over the bus (its Send refuses with
+	// network.ErrNoEngine).
 	Bus *network.Bus
 	// Coalition describes the organizations involved; nil creates an
 	// empty coalition.
@@ -431,13 +433,7 @@ func (c *Collective) handlerFor(d *device.Device) network.LaneHandler {
 		if ev.Source == "" {
 			ev.Source = m.From
 		}
-		// The explicit nil check keeps the journal interface nil (not a
-		// typed-nil *sim.Lane) for synchronous deliveries.
-		var j audit.Journal
-		if lane != nil {
-			j = lane
-		}
-		if execs, err := d.HandleEventWith(ev, j); err == nil {
+		if execs, err := d.HandleEventWith(ev, lane); err == nil {
 			for _, e := range execs {
 				if !e.Verdict.Allowed() {
 					c.watchdog.ObserveDenial(d.ID())

@@ -4,14 +4,35 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/audit"
 	"repro/internal/device"
 	"repro/internal/guard"
+	"repro/internal/network"
 	"repro/internal/ontology"
 	"repro/internal/policy"
+	"repro/internal/sim"
 	"repro/internal/statespace"
 )
+
+// engineBus builds a seeded bus on a fresh engine. Every delivery is an
+// event on it: tests settle the collective after each send, publish or
+// repair.
+func engineBus(seed int64, opts ...network.BusOption) *network.Bus {
+	engine := sim.NewEngine(sim.NewClock(time.Date(2026, 7, 6, 0, 0, 0, 0, time.UTC)))
+	return network.NewBus(rand.New(rand.NewSource(seed)),
+		append([]network.BusOption{network.WithEngine(engine)}, opts...)...)
+}
+
+// settle runs the collective's bus engine until no delivery, push or
+// ack is left in flight.
+func settle(t *testing.T, c *Collective) {
+	t.Helper()
+	if err := c.bus.Engine().RunUntilIdle(); err != nil {
+		t.Fatalf("RunUntilIdle: %v", err)
+	}
+}
 
 func coreSchema(t *testing.T) *statespace.Schema {
 	t.Helper()
@@ -217,7 +238,7 @@ func TestCommandFansOut(t *testing.T) {
 }
 
 func TestRouterCollaboration(t *testing.T) {
-	c := newCollective(t)
+	c := newCollective(t, func(cfg *Config) { cfg.Bus = engineBus(1) })
 	// Drone sees smoke, dispatches the chem drone; the chem drone
 	// reacts to the routed event — Figure 1's collaboration.
 	drone := newMember(t, c, "drone-1", 10)
@@ -258,6 +279,12 @@ func TestRouterCollaboration(t *testing.T) {
 	if err != nil || len(execs) != 1 || !execs[0].Executed() {
 		t.Fatalf("drone execs = %+v, %v", execs, err)
 	}
+	// The routed event is a delivery event on the bus's engine: the chem
+	// drone acts only once it runs, never inside the drone's execute.
+	if surveyed != 0 {
+		t.Fatalf("chem drone surveyed inside the drone's execute")
+	}
+	settle(t, c)
 	if surveyed != 1 {
 		t.Errorf("chem drone surveyed %d times, want 1", surveyed)
 	}

@@ -87,10 +87,9 @@ type DistributorConfig struct {
 	// Clock stamps activation-ledger entries; defaults to time.Now.
 	// Deterministic runs must pass the engine clock.
 	Clock func() time.Time
-	// Engine, when set, shards publish fan-out into batch events keyed
-	// like bus deliveries, so a publish to a large fleet spreads over
-	// the worker pool instead of looping synchronously. Nil keeps
-	// fan-out synchronous (small fleets, engine-less tests).
+	// Engine is redundant: publish fan-out always runs as sharded batch
+	// events on the engine of the collective's bus. When set it must be
+	// that same engine.
 	Engine *sim.Engine
 	// FanoutBatch is how many devices one sharded fan-out event covers;
 	// zero means 512.
@@ -188,10 +187,10 @@ func (r *distRoot) wireFor(base uint64) (wireEntry, error) {
 // still in history, full otherwise). All state a push or repair reads
 // is guarded by one mutex; Publish and RepairSweep must run from
 // serial-barrier context (engine.Schedule callbacks or outside a run)
-// so bus fault sampling stays deterministic — with an Engine
-// configured, the per-device sends fan out as sharded batch events
-// whose bus traffic is staged back through lanes, keeping journals
-// byte-identical at any worker count.
+// so bus fault sampling stays deterministic; the per-device sends fan
+// out as sharded batch events on the bus's engine whose bus traffic is
+// staged back through lanes, keeping journals byte-identical at any
+// worker count.
 type Distributor struct {
 	col   *Collective
 	id    string
@@ -270,10 +269,18 @@ func rootLabel(org string) string {
 
 // NewDistributor builds the distributor and attaches it to the bus as
 // its own node, so acknowledgements and pulls reach it subject to the
-// same partitions, loss and admission as any other traffic.
+// same partitions, loss and admission as any other traffic. The
+// collective's bus must have an engine: every push is an event on it.
 func NewDistributor(cfg DistributorConfig) (*Distributor, error) {
 	if cfg.Collective == nil {
 		return nil, errors.New("core: distributor needs a collective")
+	}
+	engine := cfg.Collective.bus.Engine()
+	if engine == nil {
+		return nil, errors.New("core: distributor needs a bus with an engine")
+	}
+	if cfg.Engine != nil && cfg.Engine != engine {
+		return nil, errors.New("core: distributor engine differs from the bus's engine")
 	}
 	roots := cfg.Roots
 	if len(roots) == 0 {
@@ -304,7 +311,7 @@ func NewDistributor(cfg DistributorConfig) (*Distributor, error) {
 		col:            cfg.Collective,
 		id:             id,
 		clock:          clock,
-		engine:         cfg.Engine,
+		engine:         engine,
 		fanoutBatch:    batch,
 		stuckThreshold: threshold,
 		onStuck:        cfg.OnStuck,
@@ -579,14 +586,12 @@ func (x *Distributor) PublishRoot(org string, desired []policy.Policy) (uint64, 
 
 // fanoutRoot pushes the root's current revision to every subscriber.
 // Its pass over the subscribers recounts the root's lagging books
-// against the new revision before any push goes out, so acks —
-// inline on a synchronous bus — decrement an exact count. With no
-// engine it loops synchronously (serial-barrier caller); with an
-// engine it slices the canonical order into batches of FanoutBatch
-// devices and schedules each as a sharded event keyed by its first
-// device — batches encode from the shared wire cache and stage their
-// bus sends through the lane, so the send order (and therefore every
-// fault sample) is identical at any worker count.
+// against the new revision before any push goes out, so acks decrement
+// an exact count. It slices the canonical order into batches of
+// FanoutBatch devices and schedules each as a sharded event keyed by
+// its first device — batches encode from the shared wire cache and
+// stage their bus sends through the lane, so the send order (and
+// therefore every fault sample) is identical at any worker count.
 func (x *Distributor) fanoutRoot(ri int) {
 	r := x.roots[ri]
 	x.mu.Lock()
@@ -604,15 +609,6 @@ func (x *Distributor) fanoutRoot(ri int) {
 	r.setLagging(lagging)
 	x.mu.Unlock()
 
-	if x.engine == nil {
-		for _, slot := range subs {
-			x.mu.Lock()
-			id, base := x.fleet[slot].id, x.fleet[slot].sub[ri].acked
-			x.mu.Unlock()
-			x.pushTo(ri, id, base, nil)
-		}
-		return
-	}
 	for start := 0; start < len(subs); start += x.fanoutBatch {
 		end := start + x.fanoutBatch
 		if end > len(subs) {
@@ -654,7 +650,7 @@ func (x *Distributor) pushBatch(ri int, batch []int32, lane *sim.Lane) {
 	if len(sends) == 0 {
 		return
 	}
-	x.scheduleSend(lane, func() {
+	lane.Schedule(0, func() {
 		for _, s := range sends {
 			x.send(network.Message{From: x.id, To: s.id, Topic: TopicBundle, Payload: s.data})
 		}
@@ -711,7 +707,7 @@ func (x *Distributor) repairRoot(ri int) int {
 			x.onStuck(id)
 		}
 		x.cRepairs.Inc()
-		x.pushTo(ri, id, base, nil)
+		x.pushTo(ri, id, base)
 		repaired++
 	}
 	return repaired
@@ -739,31 +735,30 @@ func (x *Distributor) repairSweepOrder(ri int) []int32 {
 }
 
 // pushTo encodes and sends the best bundle for a device at the given
-// base revision on one root. Serial-barrier context only when lane is
-// nil (it samples bus fault state).
-func (x *Distributor) pushTo(ri int, deviceID string, base uint64, lane *sim.Lane) {
+// base revision on one root. Serial-barrier context only (it samples
+// bus fault state).
+func (x *Distributor) pushTo(ri int, deviceID string, base uint64) {
 	w, err := x.roots[ri].wireFor(base)
 	if err != nil {
-		x.recordWireErr(ri, deviceID, err, lane)
+		x.recordWireErr(ri, deviceID, err, nil)
 		return
 	}
 	x.countPush(w)
-	x.scheduleSend(lane, func() {
-		x.send(network.Message{From: x.id, To: deviceID, Topic: TopicBundle, Payload: w.data})
-	})
+	x.send(network.Message{From: x.id, To: deviceID, Topic: TopicBundle, Payload: w.data})
 }
 
 // recordWireErr accounts a failed bundle materialization. A root with
 // nothing published yet is benign (nothing to send); an encode failure
 // is a real drop and is counted and audited — the PR 5 rule: a message
-// may die, but never silently.
-func (x *Distributor) recordWireErr(ri int, deviceID string, err error, lane *sim.Lane) {
+// may die, but never silently. j is the sharded caller's lane, or nil
+// from serial-barrier context.
+func (x *Distributor) recordWireErr(ri int, deviceID string, err error, j audit.Journal) {
 	if errors.Is(err, errNothingPublished) {
 		return
 	}
 	r := x.roots[ri]
 	r.cEncodeFailed.Inc()
-	audit.Resolve(lane, x.col.Audit()).Append(audit.KindBundle, x.id, "bundle.encode_failed",
+	audit.Resolve(j, x.col.Audit()).Append(audit.KindBundle, x.id, "bundle.encode_failed",
 		map[string]string{"device": deviceID, "root": r.label, "error": err.Error()})
 }
 
@@ -848,7 +843,7 @@ func (x *Distributor) handle(m network.Message, lane *sim.Lane) {
 		}
 		ri := x.rootIndex(pull.Org)
 		x.cPulls.Inc()
-		x.scheduleSend(lane, func() { x.pushTo(ri, pull.Device, pull.Have, nil) })
+		lane.Schedule(0, func() { x.pushTo(ri, pull.Device, pull.Have) })
 	}
 }
 
@@ -901,7 +896,7 @@ func (x *Distributor) deviceHandler(deviceID string, router *bundle.Router) netw
 			if errors.Is(err, bundle.ErrGap) {
 				// The device knows it is behind a chain it cannot patch
 				// from: pull repair instead of waiting for the sweep.
-				x.scheduleSend(lane, func() {
+				lane.Schedule(0, func() {
 					x.send(network.Message{
 						From: deviceID, To: x.id, Topic: TopicBundlePull,
 						Payload: BundlePull{Device: deviceID, Org: org, Have: rev},
@@ -913,22 +908,12 @@ func (x *Distributor) deviceHandler(deviceID string, router *bundle.Router) netw
 			audit.Resolve(lane, log).Append(audit.KindBundle, deviceID, "bundle.activated",
 				map[string]string{"revision": fmt.Sprint(rev), "kind": d.Kind})
 		}
-		x.scheduleSend(lane, func() {
+		lane.Schedule(0, func() {
 			x.send(network.Message{
 				From: deviceID, To: x.id, Topic: TopicBundleAck, Payload: ack,
 			})
 		})
 	}
-}
-
-// scheduleSend runs fn as a serial-barrier event (bus sends sample
-// shared fault state); with no lane (synchronous bus) it runs inline.
-func (x *Distributor) scheduleSend(lane *sim.Lane, fn func()) {
-	if lane == nil {
-		fn()
-		return
-	}
-	lane.Schedule(0, fn)
 }
 
 // setLagging records the root's lagging count and mirrors it into the

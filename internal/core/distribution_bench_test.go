@@ -42,22 +42,16 @@ type fanoutWorld struct {
 }
 
 // buildFanoutWorld constructs a two-root fleet (half us, half uk) with
-// every device enrolled on its own org's root. workers==0 means no
-// engine: the synchronous per-device fan-out loop over an inline bus
-// (the pre-sharding shape). workers>0 wires the engine into both the
-// bus and the distributor, so fan-out runs as sharded batch events.
+// every device enrolled on its own org's root, on an engine with the
+// given worker count that runs the bus and the sharded fan-out.
 func buildFanoutWorld(b *testing.B, fleet, workers int) *fanoutWorld {
 	b.Helper()
 	w := &fanoutWorld{clock: sim.NewClock(time.Date(2026, 8, 7, 0, 0, 0, 0, time.UTC)), fleet: fleet,
 		desire: map[string][][]policy.Policy{}, revs: map[string]int{}}
 	w.reg = telemetry.NewRegistry()
-	busOpts := []network.BusOption{}
-	if workers > 0 {
-		w.engine = sim.NewEngine(w.clock)
-		w.engine.SetParallelism(workers)
-		busOpts = append(busOpts, network.WithEngine(w.engine))
-	}
-	bus := network.NewBus(rand.New(rand.NewSource(1)), busOpts...)
+	w.engine = sim.NewEngine(w.clock)
+	w.engine.SetParallelism(workers)
+	bus := network.NewBus(rand.New(rand.NewSource(1)), network.WithEngine(w.engine))
 	collective, err := New(Config{
 		Name:       "bench",
 		KillSecret: []byte("bench-secret"),
@@ -77,7 +71,6 @@ func buildFanoutWorld(b *testing.B, fleet, workers int) *fanoutWorld {
 		},
 		Telemetry: w.reg,
 		Clock:     w.clock.Now,
-		Engine:    w.engine,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -134,21 +127,6 @@ func buildFanoutWorld(b *testing.B, fleet, workers int) *fanoutWorld {
 	return w
 }
 
-// publishAndDrain cuts one us-root revision and drains the fan-out to
-// every subscriber: inline for the synchronous shape, via engine.Run
-// for the sharded shape (the run also processes the resulting acks).
-func (w *fanoutWorld) publishAndDrain(b *testing.B) {
-	b.Helper()
-	if w.engine == nil {
-		w.revs["us"]++
-		if _, err := w.dist.Publish(w.desire["us"][w.revs["us"]%2]); err != nil {
-			b.Fatal(err)
-		}
-		return
-	}
-	w.publishRoot(b, "us")
-}
-
 // publishRoot cuts one root's next revision on the engine and runs it
 // until the fan-out and every ack have drained, returning the host
 // time from the publish to the last ack.
@@ -185,24 +163,22 @@ func (w *fanoutWorld) verify(b *testing.B) {
 
 // benchFanout measures one publish fan-out to the us half of the
 // fleet, end to end (encode, push, device verify+activate, ack,
-// ledger): workers==0 is the synchronous per-device loop baseline,
-// workers>0 the sharded batch events. Wire-cache hits make the encode
-// cost per distinct acked base, not per device, in both shapes.
+// ledger) as sharded batch events at the given worker count. Wire-cache
+// hits make the encode cost per distinct acked base, not per device.
 func benchFanout(b *testing.B, workers int) {
 	w := buildFanoutWorld(b, benchFleetSize(), workers)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w.publishAndDrain(b)
+		w.publishRoot(b, "us")
 	}
 	b.StopTimer()
 	w.verify(b)
 }
 
-func BenchmarkDistributorFanoutSerial(b *testing.B) { benchFanout(b, 0) }
-func BenchmarkDistributorFanout1(b *testing.B)      { benchFanout(b, 1) }
-func BenchmarkDistributorFanout2(b *testing.B)      { benchFanout(b, 2) }
-func BenchmarkDistributorFanout4(b *testing.B)      { benchFanout(b, 4) }
+func BenchmarkDistributorFanout1(b *testing.B) { benchFanout(b, 1) }
+func BenchmarkDistributorFanout2(b *testing.B) { benchFanout(b, 2) }
+func BenchmarkDistributorFanout4(b *testing.B) { benchFanout(b, 4) }
 
 // fanoutScalingRounds is how many publishes each fleet size takes in
 // BenchmarkFanoutScaling, alternating roots, interleaved between sizes.

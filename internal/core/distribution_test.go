@@ -2,15 +2,16 @@ package core
 
 import (
 	"errors"
-	"math/rand"
 	"strconv"
 	"testing"
+	"time"
 
 	"repro/internal/audit"
 	"repro/internal/bundle"
 	"repro/internal/network"
 	"repro/internal/policy"
 	"repro/internal/policylang"
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -32,11 +33,11 @@ func distPolicies(t *testing.T, n int, tag string) []policy.Policy {
 	return pols
 }
 
-// distFixture wires a collective of two members on a synchronous bus
-// with a distributor, both devices enrolled.
+// distFixture wires a collective of two members on an engine bus with a
+// distributor, both devices enrolled.
 func distFixture(t *testing.T, mutate ...func(*DistributorConfig)) (*Collective, *Distributor, *network.Bus) {
 	t.Helper()
-	bus := network.NewBus(rand.New(rand.NewSource(1)))
+	bus := engineBus(1)
 	c := newCollective(t, func(cfg *Config) { cfg.Bus = bus })
 	for _, id := range []string{"d1", "d2"} {
 		if err := c.AddDevice(newMember(t, c, id, 10), nil); err != nil {
@@ -59,17 +60,37 @@ func distFixture(t *testing.T, mutate ...func(*DistributorConfig)) (*Collective,
 	return c, dist, bus
 }
 
+// TestNewDistributorEngineFromBus checks the distributor runs on its
+// bus's engine: an attachment-only bus is refused, and a configured
+// Engine must be that same engine.
+func TestNewDistributorEngineFromBus(t *testing.T) {
+	plain := newCollective(t)
+	if _, err := NewDistributor(DistributorConfig{Collective: plain, Signer: distKey()}); err == nil {
+		t.Error("distributor accepted a bus without an engine")
+	}
+	bus := engineBus(1)
+	c := newCollective(t, func(cfg *Config) { cfg.Bus = bus })
+	other := sim.NewEngine(sim.NewClock(time.Unix(0, 0)))
+	if _, err := NewDistributor(DistributorConfig{Collective: c, Signer: distKey(), Engine: other}); err == nil {
+		t.Error("distributor accepted an engine other than the bus's")
+	}
+	if _, err := NewDistributor(DistributorConfig{Collective: c, Signer: distKey(), Engine: bus.Engine()}); err != nil {
+		t.Errorf("distributor refused the bus's own engine: %v", err)
+	}
+}
+
 func TestDistributorPublishConverges(t *testing.T) {
 	c, dist, _ := distFixture(t)
 	rev, err := dist.Publish(distPolicies(t, 3, "r1"))
 	if err != nil {
 		t.Fatalf("Publish: %v", err)
 	}
+	settle(t, c)
 	if rev != 1 {
 		t.Fatalf("revision %d, want 1", rev)
 	}
 	if !dist.Converged() {
-		t.Fatalf("not converged after synchronous publish; lagging %v", dist.Lagging())
+		t.Fatalf("not converged after publish; lagging %v", dist.Lagging())
 	}
 	for _, id := range []string{"d1", "d2"} {
 		d, _ := c.Device(id)
@@ -102,6 +123,7 @@ func TestDistributorPublishConverges(t *testing.T) {
 	if _, err := dist.Publish(distPolicies(t, 3, "r2")); err != nil {
 		t.Fatalf("Publish r2: %v", err)
 	}
+	settle(t, dist.col)
 	if ledger.Len() != 4 {
 		t.Fatalf("ledger has %d entries after r2, want 4", ledger.Len())
 	}
@@ -115,6 +137,7 @@ func TestDistributorFailClosedPush(t *testing.T) {
 	if _, err := dist.Publish(distPolicies(t, 3, "r1")); err != nil {
 		t.Fatalf("Publish: %v", err)
 	}
+	settle(t, dist.col)
 
 	// A tampered re-signed push (rogue key) reaches d1 through the
 	// normal transport and must be refused with the device unmoved.
@@ -129,6 +152,7 @@ func TestDistributorFailClosedPush(t *testing.T) {
 	if err := bus.Send(network.Message{From: "attacker", To: "d1", Topic: TopicBundle, Payload: data}); err != nil {
 		t.Fatalf("send: %v", err)
 	}
+	settle(t, dist.col)
 
 	d, _ := c.Device("d1")
 	if got := d.Policies().Revision(); got != 1 {
@@ -164,6 +188,7 @@ func TestDistributorRepairAfterOneWayPartition(t *testing.T) {
 	if _, err := dist.Publish(distPolicies(t, 3, "r1")); err != nil {
 		t.Fatalf("Publish r1: %v", err)
 	}
+	settle(t, dist.col)
 
 	// Asymmetric failure: d2 can hear the distributor but not answer.
 	// The push succeeds, the ack dies — the distributor must keep
@@ -173,6 +198,7 @@ func TestDistributorRepairAfterOneWayPartition(t *testing.T) {
 	if _, err := dist.Publish(distPolicies(t, 3, "r2")); err != nil {
 		t.Fatalf("Publish r2: %v", err)
 	}
+	settle(t, dist.col)
 	d2, _ := dist.col.Device("d2")
 	if got := d2.Policies().Revision(); got != 2 {
 		t.Fatalf("d2 at revision %d, want 2 (push direction is open)", got)
@@ -187,6 +213,7 @@ func TestDistributorRepairAfterOneWayPartition(t *testing.T) {
 	// Repair past the stuck threshold escalates exactly once.
 	for i := 0; i < 4; i++ {
 		dist.RepairSweep()
+		settle(t, dist.col)
 	}
 	if stuckReports != 1 {
 		t.Fatalf("OnStuck fired %d times, want 1", stuckReports)
@@ -199,6 +226,7 @@ func TestDistributorRepairAfterOneWayPartition(t *testing.T) {
 	// device never re-activated (revision still 2), and the stall clears.
 	bus.HealOneWay()
 	dist.RepairSweep()
+	settle(t, dist.col)
 	if !dist.Converged() {
 		t.Fatalf("not converged after heal; lagging %v", dist.Lagging())
 	}
@@ -216,6 +244,7 @@ func TestDistributorGapTriggersPullRepair(t *testing.T) {
 		if _, err := dist.Publish(distPolicies(t, 3, tag)); err != nil {
 			t.Fatalf("Publish %s: %v", tag, err)
 		}
+		settle(t, dist.col)
 	}
 	// Simulate a misdirected delta: d1 is at revision 3; wind it back by
 	// enrolling a fresh member and sending it a delta cut against
@@ -234,8 +263,9 @@ func TestDistributorGapTriggersPullRepair(t *testing.T) {
 	if err := bus.Send(network.Message{From: dist.id, To: "d3", Topic: TopicBundle, Payload: data}); err != nil {
 		t.Fatalf("send: %v", err)
 	}
+	settle(t, dist.col)
 	// The gap rejection triggered a pull, the pull triggered a full
-	// repair push, and d3 converged — all synchronously on this bus.
+	// repair push, and d3 converged — all within one settle.
 	d3, _ := c.Device("d3")
 	if got := d3.Policies().Revision(); got != 3 {
 		t.Fatalf("d3 at revision %d after pull repair, want 3", got)
@@ -255,11 +285,13 @@ func TestDistributorForgedAckDoesNotMaskLaggingDevice(t *testing.T) {
 	if _, err := dist.Publish(distPolicies(t, 3, "r1")); err != nil {
 		t.Fatalf("Publish: %v", err)
 	}
+	settle(t, dist.col)
 	// d2 goes fully dark and misses revision 2.
 	bus.Partition(map[string]int{"d2": 1})
 	if _, err := dist.Publish(distPolicies(t, 3, "r2")); err != nil {
 		t.Fatalf("Publish r2: %v", err)
 	}
+	settle(t, dist.col)
 	if lag := dist.Lagging(); len(lag) != 1 || lag[0] != "d2" {
 		t.Fatalf("lagging = %v, want [d2]", lag)
 	}
@@ -269,6 +301,7 @@ func TestDistributorForgedAckDoesNotMaskLaggingDevice(t *testing.T) {
 	if err := bus.Send(network.Message{From: "d1", To: dist.id, Topic: TopicBundleAck, Payload: forged}); err != nil {
 		t.Fatalf("send forged ack: %v", err)
 	}
+	settle(t, dist.col)
 	if got := dist.AckedRevision("d2"); got != 1 {
 		t.Fatalf("forged ack advanced d2 to %d, want 1", got)
 	}
@@ -291,6 +324,7 @@ func TestDistributorForgedAckDoesNotMaskLaggingDevice(t *testing.T) {
 	// And the heal-side proof: d2 is still repairable.
 	bus.Heal()
 	dist.RepairSweep()
+	settle(t, dist.col)
 	if !dist.Converged() {
 		t.Fatalf("not converged after heal; lagging %v", dist.Lagging())
 	}
@@ -304,10 +338,12 @@ func TestDistributorForgedPullDropped(t *testing.T) {
 	if _, err := dist.Publish(distPolicies(t, 3, "r1")); err != nil {
 		t.Fatalf("Publish: %v", err)
 	}
+	settle(t, dist.col)
 	pushedBefore := reg.Counter("bundle.pushed").Value()
 	if err := bus.Send(network.Message{From: "d1", To: dist.id, Topic: TopicBundlePull, Payload: BundlePull{Device: "d2", Have: 0}}); err != nil {
 		t.Fatalf("send forged pull: %v", err)
 	}
+	settle(t, dist.col)
 	if got := reg.Counter("bundle.forged_report", "topic", TopicBundlePull).Value(); got != 1 {
 		t.Fatalf("forged_report{bundle_pull} = %d, want 1", got)
 	}
@@ -325,15 +361,19 @@ func TestDistributorBadPayloadCounted(t *testing.T) {
 	if _, err := dist.Publish(distPolicies(t, 3, "r1")); err != nil {
 		t.Fatalf("Publish: %v", err)
 	}
+	settle(t, dist.col)
 	if err := bus.Send(network.Message{From: dist.id, To: "d1", Topic: TopicBundle, Payload: 42}); err != nil {
 		t.Fatalf("send: %v", err)
 	}
+	settle(t, dist.col)
 	if err := bus.Send(network.Message{From: "d1", To: dist.id, Topic: TopicBundleAck, Payload: "not an ack"}); err != nil {
 		t.Fatalf("send: %v", err)
 	}
+	settle(t, dist.col)
 	if err := bus.Send(network.Message{From: "d1", To: dist.id, Topic: TopicBundlePull, Payload: 7}); err != nil {
 		t.Fatalf("send: %v", err)
 	}
+	settle(t, dist.col)
 	if got := reg.Counter("bundle.bad_payload").Value(); got != 3 {
 		t.Fatalf("bad_payload = %d, want 3", got)
 	}
@@ -361,6 +401,7 @@ func TestDistributorEncodeFailureCounted(t *testing.T) {
 	if _, err := dist.Publish(distPolicies(t, 3, "r1")); err != nil {
 		t.Fatalf("Publish: %v", err)
 	}
+	settle(t, dist.col)
 	if got := reg.Counter("bundle.encode_failed", "root", "default").Value(); got != 2 {
 		t.Fatalf("encode_failed = %d, want 2 (one per device)", got)
 	}
@@ -385,7 +426,7 @@ var errStubEncode = errors.New("stub encode failure")
 // org's key to its own prefix.
 func multiRootFixture(t *testing.T) (*Collective, *Distributor, *telemetry.Registry) {
 	t.Helper()
-	bus := network.NewBus(rand.New(rand.NewSource(7)))
+	bus := engineBus(7)
 	c := newCollective(t, func(cfg *Config) { cfg.Bus = bus })
 	for _, id := range []string{"us-0", "us-1", "uk-0", "uk-1"} {
 		if err := c.AddDevice(newMember(t, c, id, 10), nil); err != nil {
@@ -444,12 +485,15 @@ func TestDistributorMultiRootIndependentStreams(t *testing.T) {
 	if _, err := dist.PublishRoot("us", orgPolicies(t, "us", "r1", 2)); err != nil {
 		t.Fatalf("PublishRoot us: %v", err)
 	}
+	settle(t, dist.col)
 	if _, err := dist.PublishRoot("uk", orgPolicies(t, "uk", "r1", 3)); err != nil {
 		t.Fatalf("PublishRoot uk: %v", err)
 	}
+	settle(t, dist.col)
 	if _, err := dist.PublishRoot("uk", orgPolicies(t, "uk", "r2", 3)); err != nil {
 		t.Fatalf("PublishRoot uk r2: %v", err)
 	}
+	settle(t, dist.col)
 	if got := dist.RootRevision("us"); got != 1 {
 		t.Fatalf("us revision %d, want 1", got)
 	}
@@ -490,6 +534,7 @@ func TestDistributorMultiRootScopeRefusal(t *testing.T) {
 	if _, err := dist.PublishRoot("us", orgPolicies(t, "us", "r1", 2)); err != nil {
 		t.Fatalf("PublishRoot us: %v", err)
 	}
+	settle(t, dist.col)
 	// The us root's bundle, replayed at a uk device: the uk device is
 	// not subscribed to the us stream, so the push dies as a scope
 	// refusal before verification.
@@ -501,6 +546,7 @@ func TestDistributorMultiRootScopeRefusal(t *testing.T) {
 	if err := c.bus.Send(network.Message{From: dist.id, To: "uk-0", Topic: TopicBundle, Payload: data}); err != nil {
 		t.Fatalf("send: %v", err)
 	}
+	settle(t, dist.col)
 	uk, _ := c.Device("uk-0")
 	if got := uk.Policies().Len(); got != 0 {
 		t.Fatalf("uk-0 holds %d policies after cross-root push, want 0", got)

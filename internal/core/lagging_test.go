@@ -28,7 +28,7 @@ func TestDistributorLaggingBooksProperty(t *testing.T) {
 
 func laggingBooksRun(t *testing.T, seed int64, steps int) {
 	rng := rand.New(rand.NewSource(seed))
-	bus := network.NewBus(rand.New(rand.NewSource(seed)))
+	bus := engineBus(seed)
 	c := newCollective(t, func(cfg *Config) { cfg.Bus = bus })
 	orgs := []string{"us", "uk"}
 	var ids []string
@@ -65,6 +65,7 @@ func laggingBooksRun(t *testing.T, seed int64, steps int) {
 
 	check := func(step int, what string) {
 		t.Helper()
+		settle(t, c)
 		for _, org := range orgs {
 			gauge := reg.Gauge("bundle.lagging", "root", org).Value()
 			if scan := dist.LaggingRoot(org); int(gauge) != len(scan) {

@@ -41,7 +41,7 @@ func TestMetricNamesUnified(t *testing.T) {
 	metrics := sim.NewMetrics()
 	reg := metrics.Registry()
 	tracer := telemetry.NewTracer(telemetry.WithTracerMetrics(reg))
-	bus := network.NewBus(rand.New(rand.NewSource(1)),
+	bus := engineBus(1,
 		network.WithLoss(0.4), network.WithDuplication(0.2),
 		network.WithMetrics(metrics))
 
@@ -96,17 +96,21 @@ func TestMetricNamesUnified(t *testing.T) {
 	}
 	for i := 0; i < 20; i++ {
 		dispatcher.Command(policy.Event{Type: "task", Source: "human"})
+		settle(t, c)
 	}
 	c.Command(policy.Event{Type: "task", Source: "human"})
+	settle(t, c)
 	// A send to a detached node feeds the breaker until it opens, so
 	// resilience.breaker_rejected registers too.
 	for i := 0; i < 5; i++ {
 		_ = dispatcher.Sender.Send(network.Message{From: "x", To: "ghost", Topic: "t"})
+		settle(t, c)
 	}
 
 	// Partition drops, so bus.dropped{cause="partition"} registers.
 	bus.Partition(map[string]int{"d1": 1})
 	_ = bus.Send(network.Message{From: "x", To: "d1", Topic: "t"})
+	settle(t, c)
 	bus.Heal()
 
 	// Gossip accounting, with and without a dropping link (plus retry).
@@ -138,6 +142,7 @@ func TestMetricNamesUnified(t *testing.T) {
 	// One-way partition drops register bus.dropped{cause="oneway"}.
 	bus.PartitionOneWay([]string{"x"}, []string{"d1"})
 	_ = bus.Send(network.Message{From: "x", To: "d1", Topic: "t"})
+	settle(t, c)
 	bus.HealOneWay()
 
 	// The bundle distribution plane: a publish/activate round trip, a
@@ -162,6 +167,7 @@ func TestMetricNamesUnified(t *testing.T) {
 	bad.Sig = "00"
 	data, _ := bundle.Encode(bad)
 	_ = bus.Send(network.Message{From: dist.id, To: "d1", Topic: TopicBundle, Payload: data})
+	settle(t, c)
 	// A scope-violating push — valid signature, foreign org — registers
 	// bundle.scope_rejected at its real call site.
 	scoped := bad
@@ -170,22 +176,29 @@ func TestMetricNamesUnified(t *testing.T) {
 	scoped.SignWith(key)
 	data, _ = bundle.Encode(scoped)
 	_ = bus.Send(network.Message{From: dist.id, To: "d1", Topic: TopicBundle, Payload: data})
+	settle(t, c)
 	// Forged and malformed reports register bundle.forged_report and
 	// bundle.bad_payload.
 	_ = bus.Send(network.Message{From: "x", To: dist.id, Topic: TopicBundleAck,
 		Payload: BundleAck{Device: "d1", Revision: 1, Applied: true}})
+	settle(t, c)
 	_ = bus.Send(network.Message{From: "x", To: dist.id, Topic: TopicBundlePull, Payload: "junk"})
+	settle(t, c)
 	// Detach the device so a second publish goes unacked, then sweep
 	// past the stuck threshold → bundle.repairs and bundle.lagging.
 	bus.Detach("d1")
 	if _, err := dist.Publish(nil); err != nil {
 		t.Fatal(err)
 	}
+	settle(t, c)
 	dist.RepairSweep()
+	settle(t, c)
 	dist.RepairSweep()
+	settle(t, c)
 	// A pull request exercises bundle.pulls.
 	_ = bus.Send(network.Message{From: "d1", To: dist.id, Topic: TopicBundlePull,
 		Payload: BundlePull{Device: "d1", Have: 0}})
+	settle(t, c)
 
 	// The residual specialization counters must have moved at their
 	// real call site: every dispatched command above decided through

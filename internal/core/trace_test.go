@@ -26,7 +26,7 @@ func TestCommandTracedAcrossDevicesUnderChaos(t *testing.T) {
 	metrics := sim.NewMetrics()
 	reg := metrics.Registry()
 	tracer := telemetry.NewTracer(telemetry.WithTracerMetrics(reg))
-	bus := network.NewBus(rand.New(rand.NewSource(7)),
+	bus := engineBus(7,
 		network.WithLoss(0.3),
 		network.WithDuplication(0.2),
 		network.WithMetrics(metrics))
@@ -117,6 +117,7 @@ func TestCommandTracedAcrossDevicesUnderChaos(t *testing.T) {
 	}
 	for i := 0; i < 100 && !executedByD2(); i++ {
 		dispatcher.Command(policy.Event{Type: "task", Source: "human"})
+		settle(t, c)
 	}
 	if !executedByD2() {
 		t.Fatal("command never reached d2 through the chaos bus")

@@ -141,9 +141,9 @@ type Device struct {
 	boxed bool
 	// hmu serializes use of the MAPE scratch below. Hot-path entry
 	// points TryLock it: the holder runs the zero-allocation scratch
-	// path; contenders (concurrent callers, or re-entrant self-sends
-	// through a synchronous bus) fall back to the boxed path, which
-	// allocates but is always safe. The scratch state views handed to
+	// path; contenders (concurrent callers, such as HTTP deliveries
+	// under contention) fall back to the boxed path, which allocates
+	// but is always safe. The scratch state views handed to
 	// guards are only mutated by the hmu holder, so they are stable for
 	// the duration of a check.
 	hmu     sync.Mutex

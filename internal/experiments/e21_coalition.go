@@ -238,7 +238,6 @@ func RunE21Workers(p E21Params, workers int) (E21Outcome, error) {
 		},
 		Telemetry:      reg,
 		Clock:          clock.Now,
-		Engine:         engine,
 		FanoutBatch:    p.FanoutBatch,
 		StuckThreshold: 3,
 	})
@@ -498,8 +497,7 @@ func RunE21Workers(p E21Params, workers int) (E21Outcome, error) {
 // forged acks and pulls from the attacker node are dropped, counted
 // and inert; and the audit journal plus BOTH per-root activation
 // ledgers are byte-identical at every engine parallelism, with the
-// publish fan-out running as sharded batch events rather than a
-// synchronous per-device loop.
+// publish fan-out running as sharded batch events.
 func RunE21(p E21Params) (Result, error) {
 	p.defaults()
 	result := Result{

@@ -3,10 +3,13 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/device"
+	"repro/internal/network"
 	"repro/internal/policy"
+	"repro/internal/sim"
 	"repro/internal/statespace"
 )
 
@@ -21,7 +24,15 @@ func RunF1() (Result, error) {
 		Headers: []string{"step", "actor", "stimulus", "decision"},
 	}
 
-	collective, err := core.New(core.Config{Name: "recon", KillSecret: []byte("f1")})
+	// Routed requests between devices are bus deliveries on the engine;
+	// each stimulus runs the engine until the collaboration it set off
+	// has settled.
+	engine := sim.NewEngine(sim.NewClock(time.Date(2026, 7, 6, 0, 0, 0, 0, time.UTC)))
+	collective, err := core.New(core.Config{
+		Name:       "recon",
+		KillSecret: []byte("f1"),
+		Bus:        network.NewBus(nil, network.WithEngine(engine)),
+	})
 	if err != nil {
 		return Result{}, err
 	}
@@ -103,11 +114,17 @@ func RunF1() (Result, error) {
 	record("human-1", "strategic intent", "issue command-patrol (the only human decision)")
 	humanDecisions := 1
 	collective.Command(policy.Event{Type: "command-patrol", Source: "human-1"})
+	if err := engine.RunUntilIdle(); err != nil {
+		return Result{}, err
+	}
 
 	// The environment produces stimuli; devices decide autonomously.
 	for _, stimulus := range []string{"smoke-detected", "convoy-sighted"} {
 		record("environment", "sensor input", stimulus)
 		if _, err := collective.Deliver("drone-1", policy.Event{Type: stimulus, Source: "sensor"}); err != nil {
+			return Result{}, err
+		}
+		if err := engine.RunUntilIdle(); err != nil {
 			return Result{}, err
 		}
 	}

@@ -28,6 +28,10 @@ var (
 	// ErrDropped is returned when the message was lost or blocked by a
 	// partition.
 	ErrDropped = errors.New("network: message dropped")
+	// ErrNoEngine is returned by Send on a bus built without WithEngine:
+	// every delivery is an engine event, so such a bus is only an
+	// attachment table and refuses traffic instead of delivering inline.
+	ErrNoEngine = errors.New("network: bus has no engine")
 )
 
 // Message is one unit of communication between devices.
@@ -43,9 +47,7 @@ type Handler func(Message)
 
 // LaneHandler consumes delivered messages together with the delivery
 // event's engine lane, so ordered side effects (audit appends, future
-// schedules) stay deterministic when the engine runs in parallel. The
-// lane is nil for synchronous (engine-less) deliveries; sim.Lane's
-// methods treat a nil lane as direct, so one handler serves both modes.
+// schedules) stay deterministic when the engine runs in parallel.
 type LaneHandler func(Message, *sim.Lane)
 
 // endpoint is one attached node: exactly one of the two handler forms
@@ -58,7 +60,8 @@ type endpoint struct {
 	lh LaneHandler
 }
 
-// call invokes the endpoint synchronously.
+// call invokes the endpoint from inside a delivery event; lane is nil
+// only for plain handlers, which never see it.
 func (ep endpoint) call(msg Message, lane *sim.Lane) {
 	if ep.lh != nil {
 		ep.lh(msg, lane)
@@ -67,36 +70,36 @@ func (ep endpoint) call(msg Message, lane *sim.Lane) {
 	ep.h(msg)
 }
 
-// Bus is an in-memory message bus. Delivery is synchronous when no
-// engine is attached, or scheduled with uniform random latency when
-// one is. Loss probability and partitions model degraded coalition
-// networks. All methods are safe for concurrent use.
+// Bus is an in-memory message bus. Every delivery is an event on the
+// attached engine, scheduled with uniform random latency; a bus without
+// an engine refuses Send. Loss probability and partitions model
+// degraded coalition networks. All methods are safe for concurrent use.
 type Bus struct {
-	mu         sync.Mutex
-	rng        *rand.Rand
-	engine     *sim.Engine
-	metrics    *sim.Metrics
-	intake     *admission.Controller
+	mu          sync.Mutex
+	rng         *rand.Rand
+	engine      *sim.Engine
+	metrics     *sim.Metrics
+	intake      *admission.Controller
 	cSent       *telemetry.Counter
 	cDelivered  *telemetry.Counter
 	cDropLoss   *telemetry.Counter
 	cDropPart   *telemetry.Counter
 	cDropOneWay *telemetry.Counter
 	cDup        *telemetry.Counter
-	nodes      map[string]endpoint
-	partition  map[string]int
-	oneWay     map[string]map[string]bool
-	lossProb   float64
-	dupProb    float64
-	minLatency time.Duration
-	maxLatency time.Duration
-	sent       int
-	delivered  int
-	dropped    int
-	shed       int
-	pending    int
-	duplicated int
-	bridgeDrop int
+	nodes       map[string]endpoint
+	partition   map[string]int
+	oneWay      map[string]map[string]bool
+	lossProb    float64
+	dupProb     float64
+	minLatency  time.Duration
+	maxLatency  time.Duration
+	sent        int
+	delivered   int
+	dropped     int
+	shed        int
+	pending     int
+	duplicated  int
+	bridgeDrop  int
 }
 
 // BusOption configures a Bus.
@@ -108,14 +111,14 @@ type busOptionFunc func(*Bus)
 
 func (f busOptionFunc) apply(b *Bus) { f(b) }
 
-// WithEngine schedules deliveries on the simulation engine with the
-// configured latency instead of delivering synchronously.
+// WithEngine attaches the simulation engine that runs every delivery,
+// scheduled with the configured latency. Without it the bus only keeps
+// its attachment table and Send returns ErrNoEngine.
 func WithEngine(e *sim.Engine) BusOption {
 	return busOptionFunc(func(b *Bus) { b.engine = e })
 }
 
-// WithLatency sets the uniform delivery latency range (requires an
-// engine to take effect).
+// WithLatency sets the uniform delivery latency range.
 func WithLatency(min, max time.Duration) BusOption {
 	return busOptionFunc(func(b *Bus) {
 		if min < 0 {
@@ -161,10 +164,9 @@ func WithMetrics(m *sim.Metrics) BusOption {
 // every Send that passes the fault model is classified by topic and
 // either admitted into the recipient's bounded intake queue or shed
 // with a typed cause (admission.ErrQueueFull,
-// admission.ErrRateLimited). With an engine attached, queues drain in
-// batches on engine events sharded by recipient, so a fixed seed
-// yields identical delivery sequences at any parallelism; without an
-// engine, admitted messages drain synchronously.
+// admission.ErrRateLimited). Queues drain in batches on engine events
+// sharded by recipient, so a fixed seed yields identical delivery
+// sequences at any parallelism.
 func WithAdmission(ctrl *admission.Controller) BusOption {
 	return busOptionFunc(func(b *Bus) {
 		b.intake = ctrl
@@ -369,7 +371,7 @@ func (b *Bus) SetDuplication(p float64) {
 }
 
 // SetLatency changes the delivery latency range at runtime (slow-link
-// fault injection; requires an engine to take effect).
+// fault injection).
 func (b *Bus) SetLatency(min, max time.Duration) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -383,10 +385,11 @@ func (b *Bus) SetLatency(min, max time.Duration) {
 	b.ensureRNGLocked()
 }
 
-// Send delivers a message to msg.To. It returns ErrUnknownNode for
-// unattached receivers and ErrDropped for losses and partition blocks.
-// With an engine attached, delivery is asynchronous and Send reports
-// only send-time failures.
+// Send schedules delivery of a message to msg.To on the bus's engine.
+// It returns ErrNoEngine on a bus without one (the message is not
+// counted as sent), ErrUnknownNode for unattached receivers and
+// ErrDropped for losses and partition blocks. Delivery is asynchronous:
+// Send reports only send-time failures.
 //
 // Determinism note: loss, duplication and latency are sampled from the
 // bus rng at Send time, so the sampling order — and therefore the fault
@@ -396,6 +399,9 @@ func (b *Bus) SetLatency(min, max time.Duration) {
 // the bus fault-free with fixed latency if such a run must be
 // deterministic.
 func (b *Bus) Send(msg Message) error {
+	if b.engine == nil {
+		return ErrNoEngine
+	}
 	b.mu.Lock()
 	ep, ok := b.nodes[msg.To]
 	if !ok {
@@ -422,7 +428,6 @@ func (b *Bus) Send(msg Message) error {
 		b.mu.Unlock()
 		return fmt.Errorf("%w: loss", ErrDropped)
 	}
-	engine := b.engine
 	intake := b.intake
 	latency := b.sampleLatencyLocked()
 	duplicate := b.dupProb > 0 && b.rng != nil && b.rng.Float64() < b.dupProb
@@ -436,25 +441,22 @@ func (b *Bus) Send(msg Message) error {
 	}
 	if intake != nil {
 		b.mu.Unlock()
-		return b.sendAdmitted(msg, ep, engine, intake, latency, duplicate)
+		return b.sendAdmitted(msg, ep, intake, latency, duplicate)
 	}
 	b.delivered++
 	b.cDelivered.Inc()
 	b.mu.Unlock()
 
-	if engine == nil {
-		ep.call(msg, nil)
-		if duplicate {
-			ep.call(msg, nil)
-		}
-		return nil
-	}
-	scheduleDelivery(engine, latency, ep, msg)
+	b.scheduleDelivery(latency, ep, msg)
 	if duplicate {
-		scheduleDelivery(engine, dupLatency, ep, msg)
+		b.scheduleDelivery(dupLatency, ep, msg)
 	}
 	return nil
 }
+
+// Engine returns the engine that runs the bus's deliveries (nil for an
+// attachment-only bus).
+func (b *Bus) Engine() *sim.Engine { return b.engine }
 
 // admittedMsg is one bus message queued behind the admission
 // controller; dup marks the extra copy injected by the duplication
@@ -466,10 +468,10 @@ type admittedMsg struct {
 
 // sendAdmitted runs the admission-controlled tail of Send: the message
 // is classified by topic and admitted or shed; admitted messages drain
-// to the endpoint in priority order — synchronously without an engine,
-// in batched drain events sharded by recipient with one.
-func (b *Bus) sendAdmitted(msg Message, ep endpoint, engine *sim.Engine,
-	intake *admission.Controller, latency time.Duration, duplicate bool) error {
+// to the endpoint in priority order, in batched drain events sharded by
+// recipient.
+func (b *Bus) sendAdmitted(msg Message, ep endpoint, intake *admission.Controller,
+	latency time.Duration, duplicate bool) error {
 	// Classify by string switch, not by interned ID: the admission
 	// package's BenchmarkClassifyTopic* shows an intern lookup per
 	// message (~40ns) costs more than comparing short topic strings
@@ -492,17 +494,8 @@ func (b *Bus) sendAdmitted(msg Message, ep endpoint, engine *sim.Engine,
 		// duplicated only if it actually reaches the recipient.
 		_ = intake.Admit(msg.To, class, admittedMsg{msg: msg, dup: true})
 	}
-	if engine == nil {
-		for {
-			items := intake.Drain(msg.To)
-			if len(items) == 0 {
-				return nil
-			}
-			b.deliverAdmitted(items, ep, nil)
-		}
-	}
 	if intake.BeginDrain(msg.To) {
-		b.scheduleDrain(engine, latency, msg.To, ep)
+		b.scheduleDrain(latency, msg.To, ep)
 	}
 	return nil
 }
@@ -510,12 +503,12 @@ func (b *Bus) sendAdmitted(msg Message, ep endpoint, engine *sim.Engine,
 // scheduleDrain queues one drain pass for the recipient: sharded by
 // recipient for lane handlers, as a serial barrier for plain ones
 // (which may touch shared state).
-func (b *Bus) scheduleDrain(engine *sim.Engine, delay time.Duration, to string, ep endpoint) {
+func (b *Bus) scheduleDrain(delay time.Duration, to string, ep endpoint) {
 	if ep.lh != nil {
-		engine.ScheduleShard(delay, to, func(lane *sim.Lane) { b.drainPass(to, ep, lane) })
+		b.engine.ScheduleShard(delay, to, func(lane *sim.Lane) { b.drainPass(to, ep, lane) })
 		return
 	}
-	engine.Schedule(delay, func() { b.drainPass(to, ep, nil) })
+	b.engine.Schedule(delay, func() { b.drainPass(to, ep, nil) })
 }
 
 // drainPass delivers one batch from the recipient's intake queue and
@@ -563,12 +556,12 @@ func (b *Bus) deliverAdmitted(items []admission.Item, ep endpoint, lane *sim.Lan
 
 // scheduleDelivery queues one delivery on the engine: sharded by
 // recipient for lane handlers, as a serial barrier for plain ones.
-func scheduleDelivery(engine *sim.Engine, latency time.Duration, ep endpoint, msg Message) {
+func (b *Bus) scheduleDelivery(latency time.Duration, ep endpoint, msg Message) {
 	if ep.lh != nil {
-		engine.ScheduleShard(latency, msg.To, func(lane *sim.Lane) { ep.lh(msg, lane) })
+		b.engine.ScheduleShard(latency, msg.To, func(lane *sim.Lane) { ep.lh(msg, lane) })
 		return
 	}
-	engine.Schedule(latency, func() { ep.h(msg) })
+	b.engine.Schedule(latency, func() { ep.h(msg) })
 }
 
 // Broadcast sends the payload to every attached node except the

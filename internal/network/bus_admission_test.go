@@ -13,7 +13,7 @@ import (
 // silent-no-op bug: a bus built without a random source used to skip
 // loss and duplication sampling entirely.
 func TestBusNilRNGFaultsStillFire(t *testing.T) {
-	bus := NewBus(nil, WithLoss(1.0))
+	bus, _ := newEngineBus(nil, WithLoss(1.0))
 	delivered := 0
 	if err := bus.Attach("d", func(Message) { delivered++ }); err != nil {
 		t.Fatal(err)
@@ -27,7 +27,7 @@ func TestBusNilRNGFaultsStillFire(t *testing.T) {
 }
 
 func TestBusNilRNGRuntimeFaultsStillFire(t *testing.T) {
-	bus := NewBus(nil) // no faults configured, rng legitimately nil
+	bus, engine := newEngineBus(nil) // no faults configured, rng legitimately nil
 	n := 0
 	if err := bus.Attach("d", func(Message) { n++ }); err != nil {
 		t.Fatal(err)
@@ -41,42 +41,12 @@ func TestBusNilRNGRuntimeFaultsStillFire(t *testing.T) {
 	if err := bus.Send(Message{From: "a", To: "d", Topic: "t"}); err != nil {
 		t.Fatal(err)
 	}
+	runIdle(t, engine)
 	if n != 2 {
 		t.Fatalf("delivered %d times, want original + duplicate", n)
 	}
 	if bus.Duplicated() != 1 {
 		t.Fatalf("Duplicated = %d, want 1", bus.Duplicated())
-	}
-}
-
-func TestBusAdmissionSynchronousDelivery(t *testing.T) {
-	now := time.Unix(0, 0)
-	ctrl, err := admission.New(admission.Config{
-		Rate: 1, Burst: 1, Now: func() time.Time { return now },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bus := NewBus(nil, WithAdmission(ctrl))
-	var got []Message
-	if err := bus.Attach("d", func(m Message) { got = append(got, m) }); err != nil {
-		t.Fatal(err)
-	}
-	if err := bus.Send(Message{From: "h", To: "d", Topic: "command", Payload: 1}); err != nil {
-		t.Fatalf("first send: %v", err)
-	}
-	if len(got) != 1 {
-		t.Fatalf("delivered %d, want synchronous delivery", len(got))
-	}
-	err = bus.Send(Message{From: "h", To: "d", Topic: "command", Payload: 2})
-	if !errors.Is(err, admission.ErrRateLimited) {
-		t.Fatalf("second send = %v, want ErrRateLimited", err)
-	}
-	if bus.Shed() != 1 || bus.Sent() != 2 {
-		t.Fatalf("sent=%d shed=%d", bus.Sent(), bus.Shed())
-	}
-	if err := bus.CheckConservation(); err != nil {
-		t.Fatal(err)
 	}
 }
 

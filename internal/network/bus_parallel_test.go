@@ -52,38 +52,10 @@ func TestBusLaneHandlerSharded(t *testing.T) {
 	}
 }
 
-// TestBusLaneHandlerSynchronous verifies the engine-less path: lane
-// handlers are called inline with a nil lane (which sim.Lane treats as
-// direct).
-func TestBusLaneHandlerSynchronous(t *testing.T) {
-	b := NewBus(nil)
-	delivered := 0
-	if err := b.AttachLane("a", func(m Message, lane *sim.Lane) {
-		if lane != nil {
-			t.Error("synchronous delivery carried a lane")
-		}
-		delivered++
-	}); err != nil {
-		t.Fatalf("AttachLane: %v", err)
-	}
-	if err := b.AttachLane("", func(Message, *sim.Lane) {}); err == nil {
-		t.Error("empty ID accepted")
-	}
-	if err := b.AttachLane("b", nil); err == nil {
-		t.Error("nil lane handler accepted")
-	}
-	if err := b.Send(Message{From: "x", To: "a"}); err != nil {
-		t.Fatalf("Send: %v", err)
-	}
-	if delivered != 1 {
-		t.Errorf("delivered = %d", delivered)
-	}
-}
-
 // TestBusConcurrentSends hammers Send from many goroutines to prove the
 // accounting stays race-safe and exact (run under -race).
 func TestBusConcurrentSends(t *testing.T) {
-	b := NewBus(nil)
+	b, engine := newEngineBus(nil)
 	var mu sync.Mutex
 	received := 0
 	if err := b.Attach("sink", func(Message) {
@@ -108,6 +80,7 @@ func TestBusConcurrentSends(t *testing.T) {
 		}(s)
 	}
 	wg.Wait()
+	runIdle(t, engine)
 	delivered, dropped := b.Stats()
 	if received != senders*per || delivered != senders*per || dropped != 0 {
 		t.Errorf("received=%d delivered=%d dropped=%d, want %d/%d/0",

@@ -15,7 +15,7 @@ import (
 // tracked separately without distorting either column.
 func TestBusAccountingProperty(t *testing.T) {
 	metrics := sim.NewMetrics()
-	bus := NewBus(rand.New(rand.NewSource(42)),
+	bus, engine := newEngineBus(rand.New(rand.NewSource(42)),
 		WithLoss(0.3), WithDuplication(0.2), WithMetrics(metrics))
 	nodes := []string{"a", "b", "c", "d"}
 	var handled sync.Map
@@ -62,6 +62,7 @@ func TestBusAccountingProperty(t *testing.T) {
 		}(s)
 	}
 	wg.Wait()
+	runIdle(t, engine)
 
 	const attempted = senders * perSender
 	delivered, dropped := bus.Stats()

@@ -9,21 +9,45 @@ import (
 	"repro/internal/sim"
 )
 
-func TestBusSynchronousDelivery(t *testing.T) {
-	b := NewBus(rand.New(rand.NewSource(1)))
-	var got []Message
-	if err := b.Attach("a", func(m Message) { got = append(got, m) }); err != nil {
+// newEngineBus builds a bus on a fresh engine; tests run the engine
+// (RunUntilIdle) to deliver what they sent.
+func newEngineBus(rng *rand.Rand, opts ...BusOption) (*Bus, *sim.Engine) {
+	engine := sim.NewEngine(sim.NewClock(time.Date(2026, 7, 6, 0, 0, 0, 0, time.UTC)))
+	return NewBus(rng, append([]BusOption{WithEngine(engine)}, opts...)...), engine
+}
+
+func runIdle(t *testing.T, engine *sim.Engine) {
+	t.Helper()
+	if err := engine.RunUntilIdle(); err != nil {
+		t.Fatalf("RunUntilIdle: %v", err)
+	}
+}
+
+// TestBusWithoutEngineRefusesSend checks an attachment-only bus: Send
+// returns ErrNoEngine, nothing is delivered, and the conservation books
+// do not move (the refused message was never sent).
+func TestBusWithoutEngineRefusesSend(t *testing.T) {
+	b := NewBus(nil)
+	delivered := 0
+	if err := b.Attach("a", func(Message) { delivered++ }); err != nil {
 		t.Fatalf("Attach: %v", err)
 	}
-	if err := b.Send(Message{From: "b", To: "a", Topic: "t", Payload: 42}); err != nil {
-		t.Fatalf("Send: %v", err)
+	if err := b.Send(Message{From: "b", To: "a"}); !errors.Is(err, ErrNoEngine) {
+		t.Fatalf("Send = %v, want ErrNoEngine", err)
 	}
-	if len(got) != 1 || got[0].Payload != 42 {
-		t.Errorf("got = %+v", got)
+	if n := b.Broadcast("b", "t", nil); n != 0 {
+		t.Errorf("Broadcast delivered %d, want 0", n)
 	}
-	delivered, dropped := b.Stats()
-	if delivered != 1 || dropped != 0 {
-		t.Errorf("stats = %d,%d", delivered, dropped)
+	del, dropped := b.Stats()
+	if delivered != 0 || b.Sent() != 0 || del != 0 || dropped != 0 || b.Shed() != 0 || b.PendingAdmitted() != 0 {
+		t.Errorf("books moved: handler=%d sent=%d delivered=%d dropped=%d shed=%d pending=%d",
+			delivered, b.Sent(), del, dropped, b.Shed(), b.PendingAdmitted())
+	}
+	if err := b.CheckConservation(); err != nil {
+		t.Errorf("CheckConservation: %v", err)
+	}
+	if b.Engine() != nil {
+		t.Error("attachment-only bus reports an engine")
 	}
 }
 
@@ -44,10 +68,16 @@ func TestBusAttachValidation(t *testing.T) {
 	if !b.Detach("a") || b.Detach("a") {
 		t.Error("Detach semantics wrong")
 	}
+	if err := b.AttachLane("", func(Message, *sim.Lane) {}); err == nil {
+		t.Error("empty ID accepted")
+	}
+	if err := b.AttachLane("b", nil); err == nil {
+		t.Error("nil lane handler accepted")
+	}
 }
 
 func TestBusUnknownNode(t *testing.T) {
-	b := NewBus(nil)
+	b, _ := newEngineBus(nil)
 	err := b.Send(Message{To: "ghost"})
 	if !errors.Is(err, ErrUnknownNode) {
 		t.Errorf("err = %v", err)
@@ -55,7 +85,7 @@ func TestBusUnknownNode(t *testing.T) {
 }
 
 func TestBusPartition(t *testing.T) {
-	b := NewBus(rand.New(rand.NewSource(1)))
+	b, engine := newEngineBus(rand.New(rand.NewSource(1)))
 	delivered := 0
 	for _, id := range []string{"a", "b", "c"} {
 		if err := b.Attach(id, func(Message) { delivered++ }); err != nil {
@@ -74,13 +104,14 @@ func TestBusPartition(t *testing.T) {
 	if err := b.Send(Message{From: "a", To: "b"}); err != nil {
 		t.Errorf("post-heal send = %v", err)
 	}
+	runIdle(t, engine)
 	if delivered != 2 {
 		t.Errorf("delivered = %d", delivered)
 	}
 }
 
 func TestBusLoss(t *testing.T) {
-	b := NewBus(rand.New(rand.NewSource(2)), WithLoss(0.5))
+	b, _ := newEngineBus(rand.New(rand.NewSource(2)), WithLoss(0.5))
 	if err := b.Attach("a", func(Message) {}); err != nil {
 		t.Fatalf("Attach: %v", err)
 	}
@@ -113,7 +144,7 @@ func TestBusLatencyViaEngine(t *testing.T) {
 		t.Fatalf("Send: %v", err)
 	}
 	if !deliveredAt.IsZero() {
-		t.Fatal("delivered synchronously despite engine")
+		t.Fatal("delivered inside Send, before the engine ran")
 	}
 	if err := engine.Run(start.Add(time.Second)); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -125,7 +156,7 @@ func TestBusLatencyViaEngine(t *testing.T) {
 }
 
 func TestBusBroadcast(t *testing.T) {
-	b := NewBus(rand.New(rand.NewSource(1)))
+	b, engine := newEngineBus(rand.New(rand.NewSource(1)))
 	counts := map[string]int{}
 	for _, id := range []string{"a", "b", "c"} {
 		id := id
@@ -134,6 +165,7 @@ func TestBusBroadcast(t *testing.T) {
 		}
 	}
 	n := b.Broadcast("a", "hello", nil)
+	runIdle(t, engine)
 	if n != 2 || counts["a"] != 0 || counts["b"] != 1 || counts["c"] != 1 {
 		t.Errorf("broadcast n=%d counts=%v", n, counts)
 	}

@@ -18,7 +18,7 @@ import (
 
 func TestBridgeToBusCountsAndSurfacesErrors(t *testing.T) {
 	metrics := sim.NewMetrics()
-	bus := NewBus(rand.New(rand.NewSource(1)), WithMetrics(metrics))
+	bus, _ := newEngineBus(rand.New(rand.NewSource(1)), WithMetrics(metrics))
 	if err := bus.Attach("d1", func(Message) {}); err != nil {
 		t.Fatal(err)
 	}

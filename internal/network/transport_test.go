@@ -192,7 +192,7 @@ func TestServerDoubleClose(t *testing.T) {
 }
 
 func TestBridgeToBus(t *testing.T) {
-	bus := NewBus(rand.New(rand.NewSource(1)))
+	bus, engine := newEngineBus(rand.New(rand.NewSource(1)))
 	var mu sync.Mutex
 	var got []Message
 	if err := bus.Attach("device-1", func(m Message) {
@@ -222,7 +222,10 @@ func TestBridgeToBus(t *testing.T) {
 	if err := client.Send(WireMessage{From: "remote", To: "ghost"}); err != nil {
 		t.Fatalf("Send: %v", err)
 	}
+	// The bridge sends from the server's goroutine; the engine runs
+	// the scheduled delivery here.
 	waitFor(t, func() bool {
+		runIdle(t, engine)
 		mu.Lock()
 		defer mu.Unlock()
 		return len(got) == 1

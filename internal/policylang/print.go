@@ -58,7 +58,7 @@ func printAction(a ActionSpec) string {
 		parts = append(parts, "outcome "+a.Outcome)
 	}
 	for _, p := range a.Params {
-		parts = append(parts, fmt.Sprintf("param %s = %q", p.Key, p.Value))
+		parts = append(parts, fmt.Sprintf("param %s = %s", p.Key, quote(p.Value)))
 	}
 	for _, e := range a.Effects {
 		op, v := "+=", e.Delta
@@ -80,7 +80,7 @@ func printExpr(e Expr, nested bool) string {
 	case *CmpExpr:
 		return fmt.Sprintf("%s %s %s", n.Quantity, n.Op, formatNumber(n.Value))
 	case *LabelExpr:
-		return fmt.Sprintf("%s is %q", n.Label, n.Value)
+		return fmt.Sprintf("%s is %s", n.Label, quote(n.Value))
 	case *NotExpr:
 		return "not (" + printExpr(n.Operand, false) + ")"
 	case *BinaryExpr:
@@ -93,6 +93,15 @@ func printExpr(e Expr, nested bool) string {
 		return "?"
 	}
 }
+
+// literalEscaper escapes a DSL string literal's body. The lexer reads a
+// backslash as "take the next byte literally", so only the quote, the
+// backslash and a newline (which would otherwise end the literal) are
+// escaped; Go's %q escapes such as \x.. or \t would read back as other
+// text.
+var literalEscaper = strings.NewReplacer(`"`, `\"`, `\`, `\\`, "\n", "\\\n")
+
+func quote(s string) string { return `"` + literalEscaper.Replace(s) + `"` }
 
 func formatNumber(v float64) string {
 	if v < 0 {

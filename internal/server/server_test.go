@@ -16,8 +16,10 @@ import (
 	"repro/internal/bundle"
 	"repro/internal/core"
 	"repro/internal/device"
+	"repro/internal/network"
 	"repro/internal/policy"
 	"repro/internal/policylang"
+	"repro/internal/sim"
 	"repro/internal/statespace"
 	"repro/internal/telemetry"
 )
@@ -30,6 +32,8 @@ type testFleet struct {
 	log        *audit.Log
 	reg        *telemetry.Registry
 	tracer     *telemetry.Tracer
+	// engine runs the collective's bus; bundle rollouts settle on it.
+	engine *sim.Engine
 }
 
 // newTestFleet builds a 3-device guarded collective (heat/fuel state,
@@ -54,8 +58,10 @@ func newTestFleet(t *testing.T, adm *admission.Controller) *testFleet {
 	log := audit.New()
 	reg := telemetry.NewRegistry()
 	tracer := telemetry.NewTracer()
+	engine := sim.NewEngine(sim.NewClock(time.Date(2026, 7, 6, 0, 0, 0, 0, time.UTC)))
 	collective, err := core.New(core.Config{
 		Name:       "test-fleet",
+		Bus:        network.NewBus(nil, network.WithEngine(engine)),
 		Audit:      log,
 		KillSecret: []byte("test-secret"),
 		Classifier: classifier,
@@ -121,6 +127,7 @@ func newTestFleet(t *testing.T, adm *admission.Controller) *testFleet {
 	return &testFleet{
 		srv: srv, base: "http://" + srv.Addr(),
 		collective: collective, log: log, reg: reg, tracer: tracer,
+		engine: engine,
 	}
 }
 
@@ -454,6 +461,9 @@ func TestFleetViewRoots(t *testing.T) {
 		if _, err := dist.PublishRoot(org, pols); err != nil {
 			t.Fatalf("PublishRoot %s: %v", org, err)
 		}
+		if err := f.engine.RunUntilIdle(); err != nil {
+			t.Fatalf("RunUntilIdle: %v", err)
+		}
 	}
 	publish("us", "pa")
 	publish("uk", "pa")
@@ -481,7 +491,7 @@ func TestFleetViewRoots(t *testing.T) {
 			t.Errorf("root %q at revision %d, want %d", rv.Org, rv.Revision, wantRoots[rv.Org])
 		}
 		if rv.Lagging != 0 {
-			t.Errorf("root %q lagging %d, want 0 (synchronous bus)", rv.Org, rv.Lagging)
+			t.Errorf("root %q lagging %d, want 0 (settled rollout)", rv.Org, rv.Lagging)
 		}
 	}
 	byID := map[string]DeviceView{}

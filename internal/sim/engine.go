@@ -3,6 +3,7 @@ package sim
 import (
 	"container/heap"
 	"errors"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -222,6 +223,14 @@ func (e *Engine) Run(horizon time.Time) error {
 		e.clock.AdvanceTo(next.at)
 		e.execSerial(next)
 	}
+}
+
+// RunUntilIdle runs events until the queue is empty, however far the
+// clock must advance. It returns at once only for event chains that
+// end, so it suits a burst of deliveries or a rollout, not a fleet
+// with periodic ticks still scheduled (use Run with a horizon there).
+func (e *Engine) RunUntilIdle() error {
+	return e.Run(e.clock.Now().Add(math.MaxInt64))
 }
 
 // execSerial runs one event inline; keyed callbacks get a direct

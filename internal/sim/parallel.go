@@ -35,7 +35,8 @@ import (
 //
 // In serial runs the engine passes a direct lane whose methods are
 // zero-cost pass-throughs, so one callback implementation serves both
-// modes. A nil *Lane behaves like a direct lane.
+// modes. Lanes exist only inside engine events: the engine hands every
+// sharded callback a non-nil one.
 type Lane struct {
 	eng    *Engine
 	direct bool
@@ -64,8 +65,8 @@ type laneJournal struct {
 // Schedule queues fn relative to the current virtual time, exactly
 // like Engine.Schedule, but deterministically ordered after the batch.
 func (l *Lane) Schedule(delay time.Duration, fn func()) {
-	if l == nil || l.direct {
-		l.engine().Schedule(delay, fn)
+	if l.direct {
+		l.eng.Schedule(delay, fn)
 		return
 	}
 	l.staged = append(l.staged, stagedCall{delay: delay, fn: fn})
@@ -74,8 +75,8 @@ func (l *Lane) Schedule(delay time.Duration, fn func()) {
 // ScheduleShard queues a sharded callback, like Engine.ScheduleShard,
 // deterministically ordered after the batch.
 func (l *Lane) ScheduleShard(delay time.Duration, shard string, fn func(*Lane)) {
-	if l == nil || l.direct {
-		l.engine().ScheduleShard(delay, shard, fn)
+	if l.direct {
+		l.eng.ScheduleShard(delay, shard, fn)
 		return
 	}
 	l.staged = append(l.staged, stagedCall{delay: delay, shard: shard, lfn: fn})
@@ -86,7 +87,7 @@ func (l *Lane) ScheduleShard(delay time.Duration, shard string, fn func(*Lane)) 
 // (time, seq) order after the batch. Direct (serial) lanes and nil
 // bases pass through unchanged.
 func (l *Lane) Route(base *audit.Log) *audit.Log {
-	if base == nil || l == nil || l.direct {
+	if base == nil || l.direct {
 		return base
 	}
 	for _, j := range l.journals {
@@ -97,15 +98,6 @@ func (l *Lane) Route(base *audit.Log) *audit.Log {
 	stage := audit.NewStage(audit.WithClock(l.eng.clock.Now))
 	l.journals = append(l.journals, laneJournal{base: base, stage: stage})
 	return stage
-}
-
-// engine tolerates nil lanes (callers outside any run, e.g. a
-// synchronous bus delivery) by treating them as direct.
-func (l *Lane) engine() *Engine {
-	if l == nil {
-		return nil
-	}
-	return l.eng
 }
 
 // flush merges the lane's buffered effects into the engine: staged

@@ -122,26 +122,21 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestLaneDirectAndNil checks the pass-through modes: a nil lane and a
-// serial (direct) lane must behave exactly like calling the engine and
-// log directly.
+// TestLaneDirectAndNil checks the pass-through modes: a serial (direct)
+// lane must behave exactly like calling the engine and log directly,
+// and a nil base log stays nil through any lane.
 func TestLaneDirectAndNil(t *testing.T) {
 	clock := NewClock(t0)
 	e := NewEngine(clock)
 	log := audit.New(audit.WithClock(clock.Now))
 
-	var nilLane *Lane
-	if got := nilLane.Route(log); got != log {
-		t.Error("nil lane did not pass the log through")
-	}
-	if got := audit.Resolve(nilLane, nil); got != nil {
-		t.Error("nil base log must stay nil through a lane")
-	}
-
 	ran := 0
 	e.ScheduleShard(time.Second, "d1", func(lane *Lane) {
 		if got := lane.Route(log); got != log {
 			t.Error("direct lane did not pass the log through")
+		}
+		if got := audit.Resolve(lane, nil); got != nil {
+			t.Error("nil base log must stay nil through a lane")
 		}
 		lane.Schedule(time.Second, func() { ran++ })
 		lane.ScheduleShard(time.Second, "d1", func(*Lane) { ran++ })

@@ -123,6 +123,23 @@ func TestEngineNegativeDelayAndNested(t *testing.T) {
 	}
 }
 
+// TestEngineRunUntilIdle checks RunUntilIdle drains chained events
+// however far apart they lie, and leaves nothing queued.
+func TestEngineRunUntilIdle(t *testing.T) {
+	e := NewEngine(NewClock(t0))
+	var order []int
+	e.Schedule(time.Hour, func() {
+		order = append(order, 1)
+		e.Schedule(24*365*time.Hour, func() { order = append(order, 2) })
+	})
+	if err := e.RunUntilIdle(); err != nil {
+		t.Fatalf("RunUntilIdle: %v", err)
+	}
+	if len(order) != 2 || e.Pending() != 0 {
+		t.Errorf("ran %v with %d pending, want [1 2] and none", order, e.Pending())
+	}
+}
+
 func TestScheduleEvery(t *testing.T) {
 	e := NewEngine(NewClock(t0))
 	count := 0

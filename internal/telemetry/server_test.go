@@ -177,6 +177,22 @@ func TestServerShutdownDeadline(t *testing.T) {
 	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: t\r\n"); err != nil {
 		t.Fatalf("partial write: %v", err)
 	}
+	// Shutdown closes the listener before it polls tracked connections,
+	// so a connection the kernel completed but Serve has not yet
+	// accepted would go untracked and Shutdown would return nil. Serve
+	// one full request on a second connection first: accepts are FIFO,
+	// so once it is answered the hung connection is tracked.
+	probe, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatalf("dial probe: %v", err)
+	}
+	defer probe.Close()
+	if _, err := io.WriteString(probe, "GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"); err != nil {
+		t.Fatalf("probe write: %v", err)
+	}
+	if body, err := io.ReadAll(probe); err != nil || !strings.Contains(string(body), "200 OK") {
+		t.Fatalf("probe request = %q, %v", body, err)
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err == nil {
